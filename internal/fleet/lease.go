@@ -46,9 +46,10 @@ type Lease struct {
 // coordination fabric that lets K independent fleet processes share one
 // work queue with no channel between them but the filesystem:
 //
-//   - Claim: the lease file is created with O_CREATE|O_EXCL — exactly one
-//     racer's create succeeds. The new lease's epoch is the tomb's
-//     epoch + 1 (0 when no tomb exists), so epochs grow monotonically
+//   - Claim: the lease is written to a temp file and hard-linked into
+//     place — exactly one racer's link succeeds, and the lease appears
+//     with its full contents. The new lease's epoch is the tomb's
+//     epoch + 1 (1 when no tomb exists), so epochs grow monotonically
 //     across ownership generations.
 //   - Renew: the holder's heartbeat rewrites the lease (atomic rename)
 //     with a fresh expiry. A renewal that finds another owner in the file
@@ -219,10 +220,14 @@ func (lm *LeaseManager) Acquire(name, owner string) (*Held, error) {
 	}
 }
 
-// createExcl writes a fresh lease with O_CREATE|O_EXCL semantics: the
-// atomicity of the claim comes from the exclusive create, so this path
-// cannot use the rename protocol. Injected faults may leave a torn lease
-// at the path; the claim loop's read quarantines it and retries.
+// createExcl publishes a fresh lease with exclusive-create semantics
+// through linkFile, the write-once primitive result commits use: the
+// lease is complete on disk before the link makes it visible, and the
+// link fails fs.ErrExist if any lease is already there. (An exclusive
+// create followed by a write would expose an empty file that a racing
+// claimer reads as torn, quarantines, and then claims over.) Injected
+// faults may leave a torn lease at the path; the claim loop's read
+// quarantines it and retries.
 func (lm *LeaseManager) createExcl(path string, l Lease) error {
 	blob, err := json.Marshal(l)
 	if err != nil {
@@ -231,23 +236,7 @@ func (lm *LeaseManager) createExcl(path string, l Lease) error {
 	if err := lm.io.fault(path, blob); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	lm.syncDir()
-	return nil
+	return linkFile(lm.dir, path, blob)
 }
 
 // Renew extends the holder's expiry. It re-reads the lease first: a file

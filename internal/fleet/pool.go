@@ -95,6 +95,10 @@ type pool struct {
 	lm       *LeaseManager
 	io       *fsio
 	mu       sync.Mutex
+	// kick is closed (and replaced) whenever a worker of this process
+	// gives up a lease, waking idle peers to rescan at once instead of
+	// after the poll interval. Guarded by mu.
+	kick chan struct{}
 	// telem holds one emitter per worker (nil slice when telemetry is
 	// off; emitters themselves are nil-safe).
 	telem []*telem.Emitter
@@ -165,7 +169,8 @@ func Run(ctx context.Context, sweep Sweep, opts Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	p := &pool{opts: opts, sweep: sweep, manifest: m, path: path, proc: proc, poll: poll, lm: lm, io: fsio}
+	p := &pool{opts: opts, sweep: sweep, manifest: m, path: path, proc: proc, poll: poll, lm: lm, io: fsio,
+		kick: make(chan struct{})}
 	requeued := Reconcile(m, opts.Dir, lm, fsio)
 	if len(requeued) > 0 {
 		logf(opts.Log, "fleet: re-queued %d shard(s) with lapsed leases\n", len(requeued))
@@ -336,6 +341,19 @@ func (p *pool) claim(worker int, owner string) (idx int, held *Held, anyOpen boo
 		if aerr != nil {
 			return 0, nil, anyOpen, aerr
 		}
+		// A peer may have finished the shard and released its lease
+		// between the artifact checks above and the Acquire: check again
+		// under the lease, so a terminal shard is never run twice.
+		if res, rerr := loadResult(p.io, p.opts.Dir, name); rerr == nil {
+			p.lm.Release(h)
+			p.adoptDone(i, res)
+			continue
+		}
+		if fm, ferr := loadFailed(p.io, p.opts.Dir, name); ferr == nil {
+			p.lm.Release(h)
+			p.adoptFailed(i, fm)
+			continue
+		}
 		p.mu.Lock()
 		rec := &p.manifest.Records[i]
 		rec.Status = StatusRunning
@@ -441,13 +459,33 @@ func (p *pool) emitter(worker int) *telem.Emitter {
 	return nil
 }
 
+// kicked returns the channel the next lease hand-back in this process
+// closes. Capture it before a claim scan, so a release that lands during
+// the scan still wakes the worker.
+func (p *pool) kicked() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.kick
+}
+
+// wakeIdle wakes every worker waiting on the current kick channel.
+func (p *pool) wakeIdle() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	close(p.kick)
+	p.kick = make(chan struct{})
+}
+
 // work is one worker's loop: claim through the lease protocol, execute,
 // and repeat. When every unclaimed shard is held by a live peer the
-// worker polls — adopting results as peers commit them, stealing leases
-// as they lapse — until the whole queue is terminal.
+// worker waits — woken at once when an in-process peer hands a lease
+// back, and otherwise polling for peer processes, adopting results as
+// they commit and stealing leases as they lapse — until the whole queue
+// is terminal.
 func (p *pool) work(ctx context.Context, worker int) {
 	owner := p.owner(worker)
 	for ctx.Err() == nil {
+		kick := p.kicked()
 		idx, held, anyOpen, err := p.claim(worker, owner)
 		if err != nil {
 			logf(p.opts.Log, "fleet: worker %d claim failed: %v\n", worker, err)
@@ -459,6 +497,7 @@ func (p *pool) work(ctx context.Context, worker int) {
 			}
 			select {
 			case <-ctx.Done():
+			case <-kick:
 			case <-time.After(p.poll):
 			}
 			continue
@@ -491,6 +530,8 @@ func (p *pool) runClaimed(ctx context.Context, worker int, idx int, held *Held) 
 	// shard to its new owner.
 	shardCtx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
+	// Runs after every exit below has released (or lost) the lease.
+	defer p.wakeIdle()
 	stopHB := p.lm.Heartbeat(shardCtx, held, func(err error) { cancel(err) })
 
 	var res *ShardResult

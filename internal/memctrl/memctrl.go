@@ -10,7 +10,6 @@
 package memctrl
 
 import (
-	"container/heap"
 	"fmt"
 
 	"dagguise/internal/dram"
@@ -24,6 +23,10 @@ type Entry struct {
 	Coord mem.Coord
 }
 
+// Never is the wake cycle of a scheduler that cannot issue anything from
+// the current queue until the queue itself changes.
+const Never = ^uint64(0)
+
 // Scheduler picks the next transaction to commit to the DRAM device.
 // Implementations include the insecure FCFS/FR-FCFS policies in this
 // package and the secure FS / FS-BTA / TP arbiters in internal/sched.
@@ -31,7 +34,12 @@ type Scheduler interface {
 	// Pick returns the index into q of the transaction to issue at cycle
 	// now, or -1 if none may issue this cycle. q is the current global
 	// transaction queue in arrival order; dev exposes bank/row state.
-	Pick(q []Entry, now uint64, dev *dram.Device) int
+	//
+	// When idx is -1, wake is the earliest cycle at which a call could
+	// return an index or update the scheduler's own state, provided q
+	// and dev do not change in between; the controller does not call
+	// Pick again before it. wake is ignored when idx >= 0.
+	Pick(q []Entry, now uint64, dev *dram.Device) (idx int, wake uint64)
 	// Name identifies the policy in stats output.
 	Name() string
 }
@@ -41,17 +49,44 @@ type completion struct {
 	resp mem.Response
 }
 
+// completionHeap is a min-heap on completion cycle. push and pop follow
+// container/heap's sift order exactly: the backing array is checkpointed
+// verbatim, so its layout is part of the state encoding.
 type completionHeap []completion
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+func (h *completionHeap) push(x completion) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if q[j].at >= q[i].at {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *completionHeap) pop() completion {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].at < q[j].at {
+			j = j2
+		}
+		if q[j].at >= q[i].at {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	x := q[n]
+	*h = q[:n]
 	return x
 }
 
@@ -81,6 +116,12 @@ type Controller struct {
 	stats     Stats
 	byDomain  map[mem.Domain]uint64 // real bytes served per domain
 	lineSize  uint64
+	out       []mem.Response // drain's result, reused across ticks
+
+	// wake is the scheduler's promise from its last -1 pick: Pick cannot
+	// issue (or change its own state) before this cycle. Enqueue lowers
+	// it, issue and RestoreState clear it. Derived state, never saved.
+	wake uint64
 
 	// Observability (nil = off). The controller attributes per-domain
 	// DRAM metrics because it is the last point that knows the request's
@@ -177,7 +218,11 @@ func (c *Controller) Enqueue(req mem.Request, now uint64) bool {
 		return false
 	}
 	req.Arrival = now
-	c.queue = append(c.queue, Entry{Req: req, Coord: c.mapper.Decode(req.Addr)})
+	coord := c.mapper.Decode(req.Addr)
+	c.queue = append(c.queue, Entry{Req: req, Coord: coord})
+	if free := c.dev.BankBusyUntil(coord); free < c.wake {
+		c.wake = free
+	}
 	if len(c.queue) > c.stats.MaxQueueLen {
 		c.stats.MaxQueueLen = len(c.queue)
 	}
@@ -191,15 +236,19 @@ func (c *Controller) bankFree(e Entry) bool {
 
 // Tick advances the controller one cycle: it lets the scheduling policy
 // commit at most one transaction to the device and returns all responses
-// that complete at or before now.
+// that complete at or before now. The policy is consulted only once its
+// last wake cycle has arrived. The returned slice is reused by the next
+// Tick; callers must not keep it.
 func (c *Controller) Tick(now uint64) []mem.Response {
 	c.mx.Observe(obs.HistQueueDepth, 0, uint64(len(c.queue)))
-	if len(c.queue) > 0 {
+	if len(c.queue) > 0 && now >= c.wake {
 		c.prof.Lap(obs.PBMemctrl)
-		idx := c.sched.Pick(c.queue, now, c.dev)
+		idx, wake := c.sched.Pick(c.queue, now, c.dev)
 		c.prof.Lap(obs.PBSched)
 		if idx >= 0 {
 			c.issue(idx, now)
+		} else {
+			c.wake = wake
 		}
 	}
 	resps := c.drain(now)
@@ -210,6 +259,7 @@ func (c *Controller) Tick(now uint64) []mem.Response {
 func (c *Controller) issue(idx int, now uint64) {
 	e := c.queue[idx]
 	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+	c.wake = 0
 	if c.domainCap > 0 {
 		c.perDomain[e.Req.Domain]--
 	}
@@ -237,7 +287,7 @@ func (c *Controller) issue(idx int, now uint64) {
 	if c.mx != nil || c.tr != nil {
 		c.record(e, idx, res, fb)
 	}
-	heap.Push(&c.inflight, completion{
+	c.inflight.push(completion{
 		at: res.DataDone,
 		resp: mem.Response{
 			ID: e.Req.ID, Addr: e.Req.Addr, Kind: e.Req.Kind,
@@ -303,26 +353,35 @@ func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
 }
 
 func (c *Controller) drain(now uint64) []mem.Response {
-	var out []mem.Response
+	c.out = c.out[:0]
 	for len(c.inflight) > 0 && c.inflight[0].at <= now {
-		done := heap.Pop(&c.inflight).(completion)
+		done := c.inflight.pop()
 		c.perBank[c.mapper.FlatBank(c.mapper.Decode(done.resp.Addr))]--
-		out = append(out, done.resp)
+		c.out = append(c.out, done.resp)
 	}
-	return out
+	return c.out
 }
 
-// NextEvent returns the earliest cycle at which the controller has work to
-// do: the next in-flight completion, or now if transactions are queued.
-// Simulation drivers can use it to skip idle cycles.
+// NextEvent returns the earliest cycle, no earlier than now, at which a
+// Tick could do anything: the next in-flight completion, or the
+// scheduler's wake cycle if transactions are queued. Ticks before it
+// neither issue nor complete, so simulation drivers can skip them as long
+// as nothing is enqueued meanwhile.
 func (c *Controller) NextEvent(now uint64) (uint64, bool) {
-	if len(c.queue) > 0 {
-		return now, true
+	if len(c.queue) == 0 && len(c.inflight) == 0 {
+		return 0, false
 	}
+	at := Never
 	if len(c.inflight) > 0 {
-		return c.inflight[0].at, true
+		at = c.inflight[0].at
 	}
-	return 0, false
+	if len(c.queue) > 0 && c.wake < at {
+		at = c.wake
+	}
+	if at < now {
+		at = now
+	}
+	return at, true
 }
 
 // Stats returns the cumulative counters.

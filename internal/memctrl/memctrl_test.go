@@ -1,6 +1,9 @@
 package memctrl
 
 import (
+	"container/heap"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dagguise/internal/config"
@@ -167,6 +170,12 @@ func TestDomainFiltered(t *testing.T) {
 	}
 }
 
+// wakeAt is a policy that never issues and always promises wake at.
+type wakeAt struct{ at uint64 }
+
+func (w wakeAt) Pick([]Entry, uint64, *dram.Device) (int, uint64) { return -1, w.at }
+func (wakeAt) Name() string                                       { return "wake-at" }
+
 func TestNextEvent(t *testing.T) {
 	c, m := testRig(FCFS{}, false)
 	if _, ok := c.NextEvent(0); ok {
@@ -178,9 +187,33 @@ func TestNextEvent(t *testing.T) {
 		t.Fatalf("NextEvent = %d,%v; want 5,true", at, ok)
 	}
 	c.Tick(5)
+	done, _ := c.NextCompletion()
 	at, ok = c.NextEvent(6)
-	if !ok || at <= 5 {
-		t.Fatalf("NextEvent after commit = %d,%v; want completion cycle", at, ok)
+	if !ok || at != done {
+		t.Fatalf("NextEvent after commit = %d,%v; want completion cycle %d", at, ok, done)
+	}
+	// A second request to the busy bank: the enqueue cannot promise
+	// more than the bank-free cycle, which here is the completion.
+	c.Enqueue(mem.Request{ID: 1, Addr: m.AddrForBank(0, 1, 0)}, 6)
+	c.Tick(6)
+	if at, _ = c.NextEvent(7); at != done {
+		t.Fatalf("NextEvent with the head's bank busy = %d; want %d", at, done)
+	}
+
+	// Queued work the policy will not look at before its wake cycle: the
+	// next event is the earlier of wake and the next completion.
+	for _, wake := range []uint64{40, 1 << 40} {
+		c, m = testRig(wakeAt{at: wake}, false)
+		c.inflight.push(completion{at: 500, resp: mem.Response{ID: 9, Addr: m.AddrForBank(1, 0, 0)}})
+		c.Enqueue(mem.Request{ID: 0, Addr: m.AddrForBank(0, 0, 0)}, 0)
+		if at, _ = c.NextEvent(0); at != 0 {
+			t.Fatalf("NextEvent before the policy was consulted = %d; want 0", at)
+		}
+		c.Tick(0)
+		want := min(wake, 500)
+		if at, ok = c.NextEvent(1); !ok || at != want {
+			t.Fatalf("wake %d: NextEvent = %d,%v; want %d", wake, at, ok, want)
+		}
 	}
 }
 
@@ -240,5 +273,39 @@ func TestControllerString(t *testing.T) {
 	c, _ := testRig(FRFCFS{}, false)
 	if c.String() == "" || c.Scheduler().Name() != "fr-fcfs" {
 		t.Fatal("controller description broken")
+	}
+}
+
+// refHeap is container/heap over completions: the layout the typed heap
+// must reproduce, since the in-flight array is checkpointed verbatim.
+type refHeap []completion
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func TestCompletionHeapMatchesContainerHeap(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	var got completionHeap
+	var want refHeap
+	for op := 0; op < 5000; op++ {
+		if len(got) == 0 || rnd.Intn(5) < 3 {
+			// Few distinct cycles, so equal keys exercise tie order.
+			c := completion{at: uint64(rnd.Intn(64)), resp: mem.Response{ID: uint64(op)}}
+			got.push(c)
+			heap.Push(&want, c)
+		} else if g, w := got.pop(), heap.Pop(&want).(completion); g != w {
+			t.Fatalf("op %d: pop %+v, want %+v", op, g, w)
+		}
+		if !reflect.DeepEqual([]completion(got), []completion(want)) {
+			t.Fatalf("op %d: heap layout diverged from container/heap", op)
+		}
 	}
 }

@@ -13,15 +13,15 @@ type FCFS struct{}
 // Name implements Scheduler.
 func (FCFS) Name() string { return "fcfs" }
 
-// Pick implements Scheduler.
-func (FCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
+// Pick implements Scheduler. It wakes when the head's bank frees.
+func (FCFS) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
 	if len(q) == 0 {
-		return -1
+		return -1, Never
 	}
-	if dev.BankBusyUntil(q[0].Coord) > now {
-		return -1
+	if free := dev.BankBusyUntil(q[0].Coord); free > now {
+		return -1, free
 	}
-	return 0
+	return 0, 0
 }
 
 // FRFCFS is first-ready FCFS, the insecure baseline policy: among
@@ -44,8 +44,9 @@ const defaultAgeCap = 1500
 func (FRFCFS) Name() string { return "fr-fcfs" }
 
 // Pick implements Scheduler. Demand traffic outranks prefetch traffic;
-// within each class, row hits outrank older requests.
-func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
+// within each class, row hits outrank older requests. It wakes at the
+// earliest cycle a bank of an eligible entry frees.
+func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
 	writes := 0
 	for i := range q {
 		if q[i].Req.Kind == mem.Write {
@@ -61,12 +62,16 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 	// row-hit, demand, prefetch row-hit, prefetch. Ties go to the oldest.
 	best := -1
 	bestRank := 5
+	wake := Never
 	for i := range q {
 		e := &q[i]
-		if dev.BankBusyUntil(e.Coord) > now {
+		if drainWrites && e.Req.Kind != mem.Write {
 			continue
 		}
-		if drainWrites && e.Req.Kind != mem.Write {
+		if free := dev.BankBusyUntil(e.Coord); free > now {
+			if free < wake {
+				wake = free
+			}
 			continue
 		}
 		rank := 2
@@ -88,7 +93,7 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) int {
 			}
 		}
 	}
-	return best
+	return best, wake
 }
 
 // DomainFiltered wraps a policy so that only requests from an allowed set
@@ -102,8 +107,9 @@ type DomainFiltered struct {
 // Name implements Scheduler.
 func (d DomainFiltered) Name() string { return d.Inner.Name() + "+filter" }
 
-// Pick implements Scheduler.
-func (d DomainFiltered) Pick(q []Entry, now uint64, dev *dram.Device) int {
+// Pick implements Scheduler. It wakes when the inner policy does; with no
+// allowed entry queued it waits for the queue to change.
+func (d DomainFiltered) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
 	// Build the filtered view, then translate the inner pick back.
 	idxMap := make([]int, 0, len(q))
 	sub := make([]Entry, 0, len(q))
@@ -114,11 +120,11 @@ func (d DomainFiltered) Pick(q []Entry, now uint64, dev *dram.Device) int {
 		}
 	}
 	if len(sub) == 0 {
-		return -1
+		return -1, Never
 	}
-	inner := d.Inner.Pick(sub, now, dev)
+	inner, wake := d.Inner.Pick(sub, now, dev)
 	if inner < 0 {
-		return -1
+		return -1, wake
 	}
-	return idxMap[inner]
+	return idxMap[inner], 0
 }

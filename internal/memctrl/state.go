@@ -50,11 +50,12 @@ func (c *Controller) SaveState() ControllerState {
 
 // RestoreState overwrites the controller's mutable state, recomputing every
 // derived structure (decoded coordinates, per-domain occupancy, per-bank
-// in-flight counts).
+// in-flight counts) and clearing the scheduler's wake cycle.
 func (c *Controller) RestoreState(st ControllerState) error {
 	if len(st.Queue) > c.capacity {
 		return fmt.Errorf("memctrl: state queue depth %d exceeds capacity %d", len(st.Queue), c.capacity)
 	}
+	c.wake = 0
 	c.queue = c.queue[:0]
 	if c.domainCap > 0 {
 		c.perDomain = make(map[mem.Domain]int)

@@ -166,20 +166,23 @@ func (f *FixedService) slotBlockedByRefresh(slotStart uint64) bool {
 }
 
 // Pick implements memctrl.Scheduler. Only the cycle at the slot boundary
-// can issue, guaranteeing an input-independent command schedule.
-func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int {
+// can issue, guaranteeing an input-independent command schedule; the
+// wake cycle is always the next boundary, where the slot is counted
+// whether or not anything issues.
+func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (int, uint64) {
 	slot := now / f.stride
+	next := (slot + 1) * f.stride
 	if slot != f.curSlot {
 		f.curSlot = slot
 		f.issued = false
 	}
 	if now%f.stride != 0 || f.issued {
-		return -1
+		return -1, next
 	}
 	f.stats.SlotsSeen++
 	f.mx.Inc(obs.CtrSlotsSeen, 0)
 	if f.slotBlockedByRefresh(now) {
-		return -1
+		return -1, next
 	}
 	owner := f.groups[slot%uint64(len(f.groups))]
 	bankGroup := int(slot % uint64(f.bankGroups))
@@ -197,11 +200,11 @@ func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int
 		f.issued = true
 		f.stats.SlotsUsed++
 		f.mx.Inc(obs.CtrSlotsUsed, 0)
-		return i
+		return i, 0
 	}
 	f.stats.SlotsWasted++
 	f.mx.Inc(obs.CtrSlotsWasted, 0)
-	return -1
+	return -1, next
 }
 
 // String describes the arbiter.

@@ -79,23 +79,27 @@ func (tp *TemporalPartitioning) Stats() Stats { return tp.stats }
 // mirrored there under the system-wide domain 0.
 func (tp *TemporalPartitioning) Observe(mx *obs.Registry) { tp.mx = mx }
 
-// Pick implements memctrl.Scheduler.
-func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) int {
+// Pick implements memctrl.Scheduler. It wakes at the next turn, when the
+// owner changes, unless the owner's own traffic becomes ready sooner;
+// near a refresh it re-checks every cycle.
+func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (int, uint64) {
 	pos := now % tp.turn
+	nextTurn := now - pos + tp.turn
 	if pos >= tp.turn-tp.dead {
-		return -1 // dead time: drain in-flight transactions
+		return -1, nextTurn // dead time: drain in-flight transactions
 	}
 	if tp.nearRefresh(now) {
-		return -1
+		return -1, now + 1
 	}
 	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
 	filtered := memctrl.DomainFiltered{Inner: tp.inner, Allow: owner.contains}
-	idx := filtered.Pick(q, now, dev)
-	if idx >= 0 {
-		tp.stats.SlotsUsed++
-		tp.mx.Inc(obs.CtrSlotsUsed, 0)
+	idx, wake := filtered.Pick(q, now, dev)
+	if idx < 0 {
+		return -1, min(wake, nextTurn)
 	}
-	return idx
+	tp.stats.SlotsUsed++
+	tp.mx.Inc(obs.CtrSlotsUsed, 0)
+	return idx, 0
 }
 
 // String describes the arbiter.

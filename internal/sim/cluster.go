@@ -48,6 +48,14 @@ type Cluster struct {
 	tenants []*clusterTenant
 	chans   []*channelUnit
 
+	// tenantWake is the first cycle at which some tenant may act: the
+	// earliest nextAt among tenants below the outstanding cap, or the
+	// next cycle while any tenant holds a pending request (its stall
+	// count advances every cycle). tickTenants skips the generator loop
+	// before it; deliver lowers it and RestoreState clears it. Derived
+	// state, never saved.
+	tenantWake uint64
+
 	// faults answers per-cycle fault queries (nil = clean run). Every
 	// query is keyed on (cycle, domain) only, so twin runs differing only
 	// in secret experience bit-identical fault sequences — the property
@@ -71,7 +79,8 @@ type clusterTenant struct {
 	nextAt      uint64
 	generated   uint64
 	outstanding int
-	pending     *mem.Request
+	pending     mem.Request // valid while hasPending
+	hasPending  bool
 
 	issued    uint64
 	completed uint64
@@ -259,27 +268,37 @@ func (c *Cluster) issue(t *clusterTenant, req mem.Request) bool {
 	return true
 }
 
-// tickTenants advances every tenant's generator in index order.
+// tickTenants advances every tenant's generator in index order, and
+// recomputes the tenant wake cycle on the way.
 func (c *Cluster) tickTenants() {
+	if c.now < c.tenantWake {
+		return
+	}
+	wake := memctrl.Never
 	for _, t := range c.tenants {
-		if t.pending != nil {
-			if c.issue(t, *t.pending) {
-				t.pending = nil
+		switch {
+		case t.hasPending:
+			if c.issue(t, t.pending) {
+				t.hasPending = false
 			} else {
 				t.stalls++
 			}
-			continue
+		case c.now >= t.nextAt && t.outstanding < clusterMaxOutstanding:
+			req := c.generate(t)
+			t.nextAt = c.now + c.gap(t)
+			if !c.issue(t, req) {
+				t.pending, t.hasPending = req, true
+				t.stalls++
+			}
 		}
-		if c.now < t.nextAt || t.outstanding >= clusterMaxOutstanding {
-			continue
-		}
-		req := c.generate(t)
-		t.nextAt = c.now + c.gap(t)
-		if !c.issue(t, req) {
-			t.pending = &req
-			t.stalls++
+		switch {
+		case t.hasPending:
+			wake = c.now + 1
+		case t.outstanding < clusterMaxOutstanding && t.nextAt < wake:
+			wake = t.nextAt
 		}
 	}
+	c.tenantWake = wake
 }
 
 // deliver hands a completed response back to its tenant, recording the
@@ -293,6 +312,9 @@ func (c *Cluster) deliver(resp mem.Response) {
 	t := c.tenants[idx]
 	if t.outstanding > 0 {
 		t.outstanding--
+	}
+	if t.nextAt < c.tenantWake {
+		c.tenantWake = t.nextAt
 	}
 	t.completed++
 	if t.tap != nil {

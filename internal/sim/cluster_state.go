@@ -81,12 +81,15 @@ func (c *Cluster) SaveState() (*ClusterState, error) {
 			NextAt:      t.nextAt,
 			Generated:   t.generated,
 			Outstanding: t.outstanding,
-			Pending:     t.pending,
 			Issued:      t.issued,
 			Completed:   t.completed,
 			Remote:      t.remote,
 			Stalls:      t.stalls,
 			LastDone:    t.lastDone,
+		}
+		if t.hasPending {
+			req := t.pending
+			ts.Pending = &req
 		}
 		if t.tap != nil {
 			ts.Tap = t.tap.SaveState()
@@ -137,6 +140,7 @@ func (c *Cluster) RestoreState(st *ClusterState) error {
 	if len(st.Chans) != len(c.chans) {
 		return fmt.Errorf("sim: cluster state has %d channels, cluster %d", len(st.Chans), len(c.chans))
 	}
+	c.tenantWake = 0
 	for i, ts := range st.Tenants {
 		t := c.tenants[i]
 		if ts.Index != t.index {
@@ -149,7 +153,10 @@ func (c *Cluster) RestoreState(st *ClusterState) error {
 		t.nextAt = ts.NextAt
 		t.generated = ts.Generated
 		t.outstanding = ts.Outstanding
-		t.pending = ts.Pending
+		t.pending, t.hasPending = mem.Request{}, ts.Pending != nil
+		if t.hasPending {
+			t.pending = *ts.Pending
+		}
 		t.issued = ts.Issued
 		t.completed = ts.Completed
 		t.remote = ts.Remote

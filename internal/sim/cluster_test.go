@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"dagguise/internal/config"
@@ -196,5 +197,145 @@ func TestClusterRejectsUnsupportedScheme(t *testing.T) {
 	cfg := clusterCfg(t, 2, 8, config.FSBTA)
 	if _, err := NewCluster(cfg, 0, 2, 1, 11); err == nil {
 		t.Fatal("cluster accepted a scheme it does not implement")
+	}
+}
+
+// TestClusterCheckpointInsideSkippedSpan cuts a checkpoint at a cycle the
+// wake-skipping fast paths are jumping over: the tenant loop is asleep
+// and some channel holds queued work its scheduler will not look at yet.
+// The wake cycles are not part of the state, so the restore must rebuild
+// the same future from scratch: restored into a fresh cluster and into
+// one that has already run elsewhere, the continuation must end in the
+// same state bytes and audit digest as the uninterrupted run.
+func TestClusterCheckpointInsideSkippedSpan(t *testing.T) {
+	const total = 16000
+	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
+		cfg := clusterCfg(t, 2, 10, scheme)
+		build := func() *Cluster {
+			c, err := NewCluster(cfg, 0, 2, 31, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		encode := func(c *Cluster) []byte {
+			st, err := c.SaveState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		ref := build()
+		ref.Run(total)
+		wantState, wantDigest := encode(ref), ref.AuditDigest()
+
+		skipping := func(c *Cluster) bool {
+			if c.now >= c.tenantWake {
+				return false
+			}
+			for _, u := range c.chans {
+				if at, ok := u.ctrl.NextEvent(c.now); ok && u.ctrl.QueueLen() > 0 && at > c.now {
+					return true
+				}
+			}
+			return false
+		}
+		cut := build()
+		for cut.Run(3000); !skipping(cut); cut.Tick() {
+			if cut.Now() >= total/2 {
+				t.Fatalf("%s: no cycle inside a skipped span before %d", scheme, cut.Now())
+			}
+		}
+		blob := encode(cut)
+
+		used := build()
+		used.Run(5000)
+		for _, tc := range []struct {
+			name string
+			c    *Cluster
+		}{{"fresh", build()}, {"already-run", used}} {
+			name, c := tc.name, tc.c
+			var st ClusterState
+			if err := json.Unmarshal(blob, &st); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RestoreState(&st); err != nil {
+				t.Fatal(err)
+			}
+			c.Run(total - c.Now())
+			if got := encode(c); string(got) != string(wantState) {
+				t.Fatalf("%s, %s cluster: state after restore at cycle %d differs from the uninterrupted run", scheme, name, st.Now)
+			}
+			if got := c.AuditDigest(); got != wantDigest {
+				t.Fatalf("%s, %s cluster: digest %s, want %s", scheme, name, got, wantDigest)
+			}
+		}
+		cut.Run(total - cut.Now())
+		if got := encode(cut); string(got) != string(wantState) {
+			t.Fatalf("%s: run that was checkpointed differs from the uninterrupted run", scheme)
+		}
+	}
+}
+
+// TestClusterTenantWakeMatchesEveryCycle pins the tenant wake against the
+// loop it replaces: a reference cluster whose wake is cleared before every
+// cycle runs the generator loop each cycle, as the machine did before the
+// wake existed. Under a fault campaign, the default shape mostly sleeps
+// between requests, while a one-deep queue shared by 24 tenants keeps
+// them stalled on full queues and shaper backpressure — the pending path,
+// whose stall count advances every cycle.
+func TestClusterTenantWakeMatchesEveryCycle(t *testing.T) {
+	const total = 20000
+	shapes := []struct {
+		channels, domains, depth int
+		stalls                   bool
+	}{{2, 10, 0, false}, {1, 24, 1, true}}
+	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
+		for _, sh := range shapes {
+			cfg := clusterCfg(t, sh.channels, sh.domains, scheme)
+			if sh.depth > 0 {
+				cfg.QueueDepth = sh.depth
+			}
+			run := func(everyCycle bool) (*Cluster, []byte) {
+				c, err := NewCluster(cfg, 0, sh.channels, 17, 11)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.AttachFaults(clusterFaultSched(total)); err != nil {
+					t.Fatal(err)
+				}
+				for c.Now() < total {
+					if everyCycle {
+						c.tenantWake = 0
+					}
+					c.Tick()
+				}
+				st, err := c.SaveState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c, b
+			}
+			ref, want := run(true)
+			got, blob := run(false)
+			name := fmt.Sprintf("%s %dch/%dt", scheme, sh.channels, sh.domains)
+			if string(blob) != string(want) {
+				t.Fatalf("%s: state with tenant wake differs from the every-cycle loop", name)
+			}
+			if a, b := got.AuditDigest(), ref.AuditDigest(); a != b {
+				t.Fatalf("%s: digest %s, want %s", name, a, b)
+			}
+			if ct := got.Counters(); ct.Completed == 0 || (sh.stalls && ct.Stalls == 0) {
+				t.Fatalf("%s: the run does not exercise the path it is meant to: %+v", name, ct)
+			}
+		}
 	}
 }
