@@ -156,6 +156,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 type Hierarchy struct {
 	L1, L2, L3 *Cache
 	memKinds   bool
+	wb         []uint64 // writebacks of the last Access or PrefetchFill, reused
 }
 
 // NewHierarchy builds a hierarchy from the system configuration. The L3
@@ -188,7 +189,8 @@ type Result struct {
 	Latency uint64
 	// MissToMem reports whether a memory read must be issued.
 	MissToMem bool
-	// Writebacks lists dirty-line addresses displaced to memory.
+	// Writebacks lists dirty-line addresses displaced to memory. It is
+	// valid until the next Access or PrefetchFill on the hierarchy.
 	Writebacks []uint64
 }
 
@@ -216,7 +218,7 @@ func (h *Hierarchy) Access(addr uint64, write bool) Result {
 // fill allocates addr into all levels up to and including upTo (1-based),
 // cascading dirty evictions downwards and returning those that leave L3.
 func (h *Hierarchy) fill(addr uint64, dirty bool, upTo int) []uint64 {
-	var toMem []uint64
+	toMem := h.wb[:0]
 	if v, ev := h.L1.Insert(addr, dirty); ev && v.Dirty && upTo >= 1 {
 		// L1 dirty victim moves to L2.
 		if v2, ev2 := h.L2.Insert(v.Addr, true); ev2 && v2.Dirty {
@@ -237,6 +239,7 @@ func (h *Hierarchy) fill(addr uint64, dirty bool, upTo int) []uint64 {
 			toMem = append(toMem, v.Addr)
 		}
 	}
+	h.wb = toMem
 	return toMem
 }
 
@@ -259,9 +262,10 @@ func (h *Hierarchy) Contains(addr uint64) bool {
 }
 
 // PrefetchFill installs a prefetched line into L2 and L3 (not L1, matching
-// an L2 stream prefetcher), returning dirty lines displaced to memory.
+// an L2 stream prefetcher), returning dirty lines displaced to memory. The
+// result is valid until the next Access or PrefetchFill.
 func (h *Hierarchy) PrefetchFill(addr uint64) []uint64 {
-	var toMem []uint64
+	toMem := h.wb[:0]
 	if v, ev := h.L2.Insert(addr, false); ev && v.Dirty {
 		if v3, ev3 := h.L3.Insert(v.Addr, true); ev3 && v3.Dirty {
 			toMem = append(toMem, v3.Addr)
@@ -270,6 +274,7 @@ func (h *Hierarchy) PrefetchFill(addr uint64) []uint64 {
 	if v, ev := h.L3.Insert(addr, false); ev && v.Dirty {
 		toMem = append(toMem, v.Addr)
 	}
+	h.wb = toMem
 	return toMem
 }
 

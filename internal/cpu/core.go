@@ -39,11 +39,16 @@ const (
 
 type slot struct {
 	op         trace.Op
-	seq        uint64
 	status     opStatus
 	completion uint64
 	reqID      uint64
 	gapLeft    int
+}
+
+// pfFlight is one in-flight prefetch or store fill: its request ID and
+// the line it fetches.
+type pfFlight struct {
+	id, line uint64
 }
 
 // Stats aggregates core counters.
@@ -74,20 +79,27 @@ type Core struct {
 	port   Port
 	alloc  IDAlloc
 
-	window    []slot
-	baseSeq   uint64 // seq of window[0]
-	nextSeq   uint64
-	instCount int // instructions represented in the window
+	// The instruction window is the ring of seqs [baseSeq, nextSeq):
+	// seq lives at ring[seq&mask]. fill never holds more than ROBEntries
+	// ops (each carries at least one instruction), so the ring, a power
+	// of two at least that long, never wraps onto a live slot.
+	ring      []slot
+	mask      uint64
+	baseSeq   uint64 // oldest in-window seq
+	nextSeq   uint64 // seq the next fetched op gets
+	instCount int    // instructions represented in the window
+	// pending lists the seqs still waiting to issue (stWaitDep or
+	// stReady), in program order.
+	pending []uint64
 
 	outstanding int
 	reads       map[uint64]uint64 // reqID -> seq
 	wbQueue     []uint64
 
 	pf          *prefetcher
-	pfPending   []uint64          // prefetch lines awaiting a free slot/port
-	fillPending []uint64          // store-miss fill lines (write-allocate)
-	pfInMem     map[uint64]uint64 // reqID -> line address
-	pfIssued    map[uint64]bool   // lines with an in-flight prefetch/fill
+	pfPending   []uint64   // prefetch lines awaiting a free slot/port
+	fillPending []uint64   // store-miss fill lines (write-allocate)
+	pfInFlight  []pfFlight // in-flight prefetches/fills, one per line
 
 	exhausted bool
 	stats     Stats
@@ -99,17 +111,22 @@ type Core struct {
 // New builds a core for the domain reading ops from src through the given
 // cache hierarchy, sending misses to port.
 func New(domain mem.Domain, src trace.Source, hier *cache.Hierarchy, cfg config.CoreConfig, port Port, alloc IDAlloc) *Core {
+	size := 1
+	for size < cfg.ROBEntries {
+		size <<= 1
+	}
 	return &Core{
-		domain:   domain,
-		src:      src,
-		hier:     hier,
-		cfg:      cfg,
-		port:     port,
-		alloc:    alloc,
-		reads:    make(map[uint64]uint64),
-		pf:       newPrefetcher(cfg.PrefetchDepth, cfg.PrefetchStreams),
-		pfInMem:  make(map[uint64]uint64),
-		pfIssued: make(map[uint64]bool),
+		domain:  domain,
+		src:     src,
+		hier:    hier,
+		cfg:     cfg,
+		port:    port,
+		alloc:   alloc,
+		ring:    make([]slot, size),
+		mask:    uint64(size - 1),
+		pending: make([]uint64, 0, size),
+		reads:   make(map[uint64]uint64),
+		pf:      newPrefetcher(cfg.PrefetchDepth, cfg.PrefetchStreams),
 	}
 }
 
@@ -127,19 +144,18 @@ func (c *Core) Stats() Stats { return c.stats }
 func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 
 // Done reports whether a finite trace has fully retired.
-func (c *Core) Done() bool { return c.exhausted && len(c.window) == 0 }
+func (c *Core) Done() bool { return c.exhausted && c.baseSeq == c.nextSeq }
 
-// depSatisfied reports whether the op's dependency has completed.
-func (c *Core) depSatisfied(s *slot) bool {
+// depSatisfied reports whether the op at seq has its dependency completed.
+func (c *Core) depSatisfied(s *slot, seq uint64) bool {
 	if s.op.Dep <= 0 {
 		return true
 	}
-	depSeq := s.seq - uint64(s.op.Dep)
-	if s.seq < uint64(s.op.Dep) || depSeq < c.baseSeq {
+	depSeq := seq - uint64(s.op.Dep)
+	if seq < uint64(s.op.Dep) || depSeq < c.baseSeq {
 		return true // dependency already retired
 	}
-	dep := &c.window[depSeq-c.baseSeq]
-	return dep.status == stDone
+	return c.ring[depSeq&c.mask].status == stDone
 }
 
 // Tick advances the core one cycle.
@@ -162,39 +178,52 @@ func (c *Core) issuePrefetches(now uint64) {
 	if budget < 4 {
 		budget = 4
 	}
-	trySend := func(line uint64) bool {
-		id := c.alloc()
-		req := mem.Request{ID: id, Addr: line * 64, Kind: mem.Read, Domain: c.domain, Issue: now, Prefetch: true}
-		if !c.port.TryEnqueue(req, now) {
-			return false
+	// Both queues drain through an index cursor and compact with copy. A
+	// fill left behind (budget spent or port full) blocks the prefetches.
+	n := 0
+	for n < len(c.fillPending) && len(c.pfInFlight) < budget {
+		line := c.fillPending[n]
+		if !c.lineInFlight(line) && !c.sendPrefetch(line, now) {
+			break
 		}
-		c.pfIssued[line] = true
-		c.pfInMem[id] = line * 64
-		c.stats.Prefetches++
-		return true
+		n++
 	}
-	for len(c.fillPending) > 0 && len(c.pfInMem) < budget {
-		line := c.fillPending[0]
-		if c.pfIssued[line] {
-			c.fillPending = c.fillPending[1:]
-			continue
-		}
-		if !trySend(line) {
-			return
-		}
-		c.fillPending = c.fillPending[1:]
+	c.fillPending = c.fillPending[:copy(c.fillPending, c.fillPending[n:])]
+	if len(c.fillPending) > 0 {
+		return
 	}
-	for len(c.pfPending) > 0 && len(c.pfInMem) < budget {
-		line := c.pfPending[0]
-		if c.pfIssued[line] || c.hier.Contains(line*64) {
-			c.pfPending = c.pfPending[1:]
-			continue
+	n = 0
+	for n < len(c.pfPending) && len(c.pfInFlight) < budget {
+		line := c.pfPending[n]
+		if !c.lineInFlight(line) && !c.hier.Contains(line*64) && !c.sendPrefetch(line, now) {
+			break
 		}
-		if !trySend(line) {
-			return
-		}
-		c.pfPending = c.pfPending[1:]
+		n++
 	}
+	c.pfPending = c.pfPending[:copy(c.pfPending, c.pfPending[n:])]
+}
+
+// lineInFlight reports whether a prefetch or fill of the line is in flight.
+func (c *Core) lineInFlight(line uint64) bool {
+	for _, f := range c.pfInFlight {
+		if f.line == line {
+			return true
+		}
+	}
+	return false
+}
+
+// sendPrefetch offers a prefetch read of the line to the port and records
+// it in flight when accepted.
+func (c *Core) sendPrefetch(line, now uint64) bool {
+	id := c.alloc()
+	req := mem.Request{ID: id, Addr: line * 64, Kind: mem.Read, Domain: c.domain, Issue: now, Prefetch: true}
+	if !c.port.TryEnqueue(req, now) {
+		return false
+	}
+	c.pfInFlight = append(c.pfInFlight, pfFlight{id: id, line: line})
+	c.stats.Prefetches++
+	return true
 }
 
 func (c *Core) fill() {
@@ -204,26 +233,32 @@ func (c *Core) fill() {
 			c.exhausted = true
 			return
 		}
-		c.window = append(c.window, slot{op: op, seq: c.nextSeq, status: stWaitDep, gapLeft: op.Gap})
+		c.ring[c.nextSeq&c.mask] = slot{op: op, status: stWaitDep, gapLeft: op.Gap}
+		c.pending = append(c.pending, c.nextSeq)
 		c.nextSeq++
 		c.instCount += op.Gap + 1
 	}
 }
 
+// issue walks the un-issued ops oldest first. Statuses only move forward,
+// so pending holds exactly the window's stWaitDep and stReady slots in
+// program order, and an op issued earlier in the walk is visible to the
+// dependency checks of the ops after it.
 func (c *Core) issue(now uint64) {
-	for i := range c.window {
-		s := &c.window[i]
-		switch s.status {
-		case stWaitDep:
-			if !c.depSatisfied(s) {
-				continue
-			}
+	kept := c.pending[:0]
+	for _, seq := range c.pending {
+		s := &c.ring[seq&c.mask]
+		if s.status == stWaitDep && c.depSatisfied(s, seq) {
 			s.status = stReady
-			fallthrough
-		case stReady:
-			c.access(s, now)
+		}
+		if s.status == stReady {
+			c.access(s, seq, now)
+		}
+		if s.status <= stReady {
+			kept = append(kept, seq)
 		}
 	}
+	c.pending = kept
 }
 
 // needsMemSentinel marks a slot whose cache access already ran (and
@@ -232,7 +267,7 @@ func (c *Core) issue(now uint64) {
 const needsMemSentinel = ^uint64(0)
 
 // access performs the cache access for a ready op and transitions it.
-func (c *Core) access(s *slot, now uint64) {
+func (c *Core) access(s *slot, seq, now uint64) {
 	if s.op.Kind == mem.Write {
 		// Stores retire through the store buffer: account the cache
 		// effects (allocation + dirty evictions) but never stall. A
@@ -241,7 +276,7 @@ func (c *Core) access(s *slot, now uint64) {
 		res := c.hier.Access(s.op.Addr, true)
 		c.wbQueue = append(c.wbQueue, res.Writebacks...)
 		if c.pf != nil && res.Level >= 2 {
-			c.pfPending = append(c.pfPending, c.pf.onMiss(s.op.Addr/64)...)
+			c.pfPending = c.pf.onMiss(c.pfPending, s.op.Addr/64)
 		}
 		if res.MissToMem {
 			c.fillPending = append(c.fillPending, s.op.Addr/64)
@@ -262,7 +297,7 @@ func (c *Core) access(s *slot, now uint64) {
 		// on previously prefetched lines in L2/L3, otherwise a covered
 		// stream would stop advancing and stall itself.
 		if c.pf != nil && res.Level >= 2 {
-			c.pfPending = append(c.pfPending, c.pf.onMiss(s.op.Addr/64)...)
+			c.pfPending = c.pf.onMiss(c.pfPending, s.op.Addr/64)
 		}
 		if !res.MissToMem {
 			s.status = stDone
@@ -278,27 +313,29 @@ func (c *Core) access(s *slot, now uint64) {
 	}
 	s.status = stInMem
 	s.reqID = id
-	c.reads[id] = s.seq
+	c.reads[id] = seq
 	c.outstanding++
 	c.stats.MemReads++
 }
 
 func (c *Core) flushWritebacks(now uint64) {
-	for len(c.wbQueue) > 0 {
-		req := mem.Request{ID: c.alloc(), Addr: c.wbQueue[0], Kind: mem.Write, Domain: c.domain, Issue: now}
+	n := 0
+	for n < len(c.wbQueue) {
+		req := mem.Request{ID: c.alloc(), Addr: c.wbQueue[n], Kind: mem.Write, Domain: c.domain, Issue: now}
 		if !c.port.TryEnqueue(req, now) {
-			return
+			break
 		}
-		c.wbQueue = c.wbQueue[1:]
+		n++
 		c.stats.Writebacks++
 	}
+	c.wbQueue = c.wbQueue[:copy(c.wbQueue, c.wbQueue[n:])]
 }
 
 func (c *Core) retire(now uint64) {
 	budget := c.cfg.IssueWidth
 	retired := 0
-	for budget > 0 && len(c.window) > 0 {
-		head := &c.window[0]
+	for budget > 0 && c.baseSeq < c.nextSeq {
+		head := &c.ring[c.baseSeq&c.mask]
 		if head.gapLeft > 0 {
 			n := head.gapLeft
 			if n > budget {
@@ -316,7 +353,6 @@ func (c *Core) retire(now uint64) {
 		retired++
 		c.stats.MemOps++
 		c.instCount -= head.op.Gap + 1
-		c.window = c.window[1:]
 		c.baseSeq++
 	}
 	c.stats.Instructions += uint64(retired)
@@ -351,11 +387,14 @@ func (e *RetiredResponseError) Error() string {
 // core does not track) are ignored. A response for an already-retired
 // instruction is a protocol violation reported as *RetiredResponseError.
 func (c *Core) OnResponse(resp mem.Response, now uint64) error {
-	if addr, ok := c.pfInMem[resp.ID]; ok {
-		delete(c.pfInMem, resp.ID)
-		delete(c.pfIssued, addr/64)
-		c.wbQueue = append(c.wbQueue, c.hier.PrefetchFill(addr)...)
-		return nil
+	for i, f := range c.pfInFlight {
+		if f.id == resp.ID {
+			last := len(c.pfInFlight) - 1
+			c.pfInFlight[i] = c.pfInFlight[last]
+			c.pfInFlight = c.pfInFlight[:last]
+			c.wbQueue = append(c.wbQueue, c.hier.PrefetchFill(f.line*64)...)
+			return nil
+		}
 	}
 	seq, ok := c.reads[resp.ID]
 	if !ok {
@@ -365,7 +404,7 @@ func (c *Core) OnResponse(resp mem.Response, now uint64) error {
 	if seq < c.baseSeq {
 		return &RetiredResponseError{Domain: c.domain, ID: resp.ID, Seq: seq, Base: c.baseSeq}
 	}
-	s := &c.window[seq-c.baseSeq]
+	s := &c.ring[seq&c.mask]
 	s.status = stDone
 	s.completion = now
 	c.outstanding--

@@ -31,9 +31,9 @@ func newPrefetcher(depth, streams int) *prefetcher {
 	return &prefetcher{streams: make([]stream, streams), depth: depth}
 }
 
-// onMiss records a demand miss to the line and returns the lines to
-// prefetch (possibly none).
-func (p *prefetcher) onMiss(line uint64) []uint64 {
+// onMiss records a demand miss to the line and appends the lines to
+// prefetch (possibly none) to dst.
+func (p *prefetcher) onMiss(dst []uint64, line uint64) []uint64 {
 	p.clock++
 	// Extend an existing stream?
 	for i := range p.streams {
@@ -43,18 +43,17 @@ func (p *prefetcher) onMiss(line uint64) []uint64 {
 			s.next = line + 1
 			s.lastUse = p.clock
 			if s.hits < 2 {
-				return nil // not yet confirmed
+				return dst // not yet confirmed
 			}
 			target := line + uint64(p.depth)
 			if s.ahead < line {
 				s.ahead = line
 			}
-			var out []uint64
 			for l := s.ahead + 1; l <= target; l++ {
-				out = append(out, l)
+				dst = append(dst, l)
 			}
 			s.ahead = target
-			return out
+			return dst
 		}
 	}
 	// Allocate the least-recently-used entry for a potential new stream.
@@ -65,5 +64,5 @@ func (p *prefetcher) onMiss(line uint64) []uint64 {
 		}
 	}
 	p.streams[lru] = stream{next: line + 1, lastUse: p.clock}
-	return nil
+	return dst
 }

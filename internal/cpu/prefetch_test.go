@@ -10,14 +10,14 @@ func TestPrefetcherDisabledWhenDepthZero(t *testing.T) {
 
 func TestPrefetcherNeedsConfirmation(t *testing.T) {
 	p := newPrefetcher(4, 8)
-	if got := p.onMiss(100); got != nil {
+	if got := p.onMiss(nil, 100); got != nil {
 		t.Fatalf("first miss prefetched %v", got)
 	}
 	// Second sequential miss confirms the stream but needs two hits.
-	if got := p.onMiss(101); got != nil {
+	if got := p.onMiss(nil, 101); got != nil {
 		t.Fatalf("unconfirmed stream prefetched %v", got)
 	}
-	got := p.onMiss(102)
+	got := p.onMiss(nil, 102)
 	if len(got) == 0 {
 		t.Fatal("confirmed stream did not prefetch")
 	}
@@ -30,11 +30,11 @@ func TestPrefetcherNeedsConfirmation(t *testing.T) {
 
 func TestPrefetcherNoDuplicateLines(t *testing.T) {
 	p := newPrefetcher(4, 8)
-	p.onMiss(10)
-	p.onMiss(11)
+	p.onMiss(nil, 10)
+	p.onMiss(nil, 11)
 	seen := map[uint64]bool{}
 	for l := uint64(12); l < 40; l++ {
-		for _, pf := range p.onMiss(l) {
+		for _, pf := range p.onMiss(nil, l) {
 			if seen[pf] {
 				t.Fatalf("line %d prefetched twice", pf)
 			}
@@ -51,8 +51,8 @@ func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 	// Interleave two sequential streams far apart.
 	var got []uint64
 	for i := uint64(0); i < 6; i++ {
-		got = append(got, p.onMiss(100+i)...)
-		got = append(got, p.onMiss(5000+i)...)
+		got = append(got, p.onMiss(nil, 100+i)...)
+		got = append(got, p.onMiss(nil, 5000+i)...)
 	}
 	lo, hi := false, false
 	for _, l := range got {
@@ -70,22 +70,22 @@ func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 
 func TestPrefetcherEvictsLRUStream(t *testing.T) {
 	p := newPrefetcher(2, 2)
-	p.onMiss(100)
-	p.onMiss(200)
-	p.onMiss(300) // evicts the LRU entry (stream at 100)
+	p.onMiss(nil, 100)
+	p.onMiss(nil, 200)
+	p.onMiss(nil, 300) // evicts the LRU entry (stream at 100)
 	// Stream at 100 must re-train from scratch.
-	if got := p.onMiss(101); got != nil {
+	if got := p.onMiss(nil, 101); got != nil {
 		t.Fatalf("evicted stream still confirmed: %v", got)
 	}
 }
 
 func TestPrefetcherToleratesSkips(t *testing.T) {
 	p := newPrefetcher(4, 8)
-	p.onMiss(50)
-	p.onMiss(51)
-	p.onMiss(52)
+	p.onMiss(nil, 50)
+	p.onMiss(nil, 51)
+	p.onMiss(nil, 52)
 	// A skip of up to 2 lines still extends the stream.
-	if got := p.onMiss(54); len(got) == 0 {
+	if got := p.onMiss(nil, 54); len(got) == 0 {
 		t.Fatal("small skip broke the stream")
 	}
 }

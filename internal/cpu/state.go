@@ -89,21 +89,25 @@ func (c *Core) SaveState() (CoreState, error) {
 		WBQueue:     append([]uint64(nil), c.wbQueue...),
 		PfPending:   append([]uint64(nil), c.pfPending...),
 		FillPending: append([]uint64(nil), c.fillPending...),
-		PfInMem:     sortedPairs(c.pfInMem),
 		Exhausted:   c.exhausted,
 		Stats:       c.stats,
 		Source:      src.SaveState(),
 		Cache:       c.hier.SaveState(),
 	}
-	for _, s := range c.window {
+	for seq := c.baseSeq; seq < c.nextSeq; seq++ {
+		s := &c.ring[seq&c.mask]
 		st.Window = append(st.Window, SlotState{
-			Op: s.op, Seq: s.seq, Status: int(s.status),
+			Op: s.op, Seq: seq, Status: int(s.status),
 			Completion: s.completion, ReqID: s.reqID, GapLeft: s.gapLeft,
 		})
 	}
-	for line := range c.pfIssued {
-		st.PfIssued = append(st.PfIssued, line)
+	// The wire format stores the in-flight list twice: as request ID ->
+	// line address pairs sorted by ID, and as the sorted set of lines.
+	for _, f := range c.pfInFlight {
+		st.PfInMem = append(st.PfInMem, PairU64{K: f.id, V: f.line * 64})
+		st.PfIssued = append(st.PfIssued, f.line)
 	}
+	sort.Slice(st.PfInMem, func(i, j int) bool { return st.PfInMem[i].K < st.PfInMem[j].K })
 	sort.Slice(st.PfIssued, func(i, j int) bool { return st.PfIssued[i] < st.PfIssued[j] })
 	if c.pf != nil {
 		ps := &PrefetcherState{Clock: c.pf.clock}
@@ -121,6 +125,9 @@ func (c *Core) RestoreState(st CoreState) error {
 	src, ok := c.src.(trace.Stateful)
 	if !ok {
 		return fmt.Errorf("cpu: domain %d trace source %T is not checkpointable", c.domain, c.src)
+	}
+	if err := c.checkWindow(st); err != nil {
+		return fmt.Errorf("cpu: domain %d: %w", c.domain, err)
 	}
 	if err := src.RestoreState(st.Source); err != nil {
 		return fmt.Errorf("cpu: domain %d trace source: %w", c.domain, err)
@@ -141,12 +148,15 @@ func (c *Core) RestoreState(st CoreState) error {
 		}
 		c.pf.clock = st.Prefetch.Clock
 	}
-	c.window = c.window[:0]
+	c.pending = c.pending[:0]
 	for _, s := range st.Window {
-		c.window = append(c.window, slot{
-			op: s.Op, seq: s.Seq, status: opStatus(s.Status),
+		c.ring[s.Seq&c.mask] = slot{
+			op: s.Op, status: opStatus(s.Status),
 			completion: s.Completion, reqID: s.ReqID, gapLeft: s.GapLeft,
-		})
+		}
+		if opStatus(s.Status) <= stReady {
+			c.pending = append(c.pending, s.Seq)
+		}
 	}
 	c.baseSeq = st.BaseSeq
 	c.nextSeq = st.NextSeq
@@ -159,15 +169,67 @@ func (c *Core) RestoreState(st CoreState) error {
 	c.wbQueue = append(c.wbQueue[:0], st.WBQueue...)
 	c.pfPending = append(c.pfPending[:0], st.PfPending...)
 	c.fillPending = append(c.fillPending[:0], st.FillPending...)
-	c.pfInMem = make(map[uint64]uint64, len(st.PfInMem))
+	c.pfInFlight = c.pfInFlight[:0]
 	for _, p := range st.PfInMem {
-		c.pfInMem[p.K] = p.V
-	}
-	c.pfIssued = make(map[uint64]bool, len(st.PfIssued))
-	for _, line := range st.PfIssued {
-		c.pfIssued[line] = true
+		c.pfInFlight = append(c.pfInFlight, pfFlight{id: p.K, line: p.V / 64})
 	}
 	c.exhausted = st.Exhausted
 	c.stats = st.Stats
+	return nil
+}
+
+// checkWindow validates the window and prefetch bookkeeping of a
+// checkpoint against the core's dense structures before anything is
+// overwritten: the window must fit the ring and hold the contiguous seqs
+// [BaseSeq, NextSeq) with statuses the core knows and InstCount
+// instructions, every tracked read must point into it, and PfIssued must
+// be exactly the lines of PfInMem.
+func (c *Core) checkWindow(st CoreState) error {
+	if len(st.Window) > len(c.ring) {
+		return fmt.Errorf("state window holds %d ops, ring has %d slots", len(st.Window), len(c.ring))
+	}
+	if st.NextSeq-st.BaseSeq != uint64(len(st.Window)) {
+		return fmt.Errorf("state window holds %d ops for seqs [%d, %d)", len(st.Window), st.BaseSeq, st.NextSeq)
+	}
+	insts := 0
+	for i, s := range st.Window {
+		if s.Seq != st.BaseSeq+uint64(i) {
+			return fmt.Errorf("state window slot %d has seq %d, want %d", i, s.Seq, st.BaseSeq+uint64(i))
+		}
+		if s.Status < int(stWaitDep) || s.Status > int(stDone) {
+			return fmt.Errorf("state window seq %d has unknown status %d", s.Seq, s.Status)
+		}
+		if s.Op.Gap < 0 {
+			return fmt.Errorf("state window seq %d has negative gap %d", s.Seq, s.Op.Gap)
+		}
+		insts += s.Op.Gap + 1
+	}
+	// fill relies on this count to keep the window within the ring.
+	if st.InstCount != insts {
+		return fmt.Errorf("state counts %d window instructions, its ops hold %d", st.InstCount, insts)
+	}
+	for _, p := range st.Reads {
+		if p.V >= st.NextSeq {
+			return fmt.Errorf("state read %d points at seq %d, beyond the window end %d", p.K, p.V, st.NextSeq)
+		}
+	}
+	if len(st.PfIssued) != len(st.PfInMem) {
+		return fmt.Errorf("state tracks %d in-flight prefetch lines for %d prefetch requests", len(st.PfIssued), len(st.PfInMem))
+	}
+	lines := make([]uint64, 0, len(st.PfInMem))
+	for _, p := range st.PfInMem {
+		if p.V%64 != 0 {
+			return fmt.Errorf("state prefetch %d address %#x is not line-aligned", p.K, p.V)
+		}
+		lines = append(lines, p.V/64)
+	}
+	issued := append([]uint64(nil), st.PfIssued...)
+	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
+	sort.Slice(issued, func(i, j int) bool { return issued[i] < issued[j] })
+	for i, line := range lines {
+		if issued[i] != line || (i > 0 && lines[i-1] == line) {
+			return fmt.Errorf("state in-flight prefetch lines %v do not match prefetch requests %v", st.PfIssued, st.PfInMem)
+		}
+	}
 	return nil
 }

@@ -109,12 +109,12 @@ type Controller struct {
 	sched     Scheduler
 	queue     []Entry
 	capacity  int
-	domainCap int // per-domain queue partition; 0 = shared queue
-	perDomain map[mem.Domain]int
+	domainCap int   // per-domain queue partition; 0 = shared queue
+	perDomain []int // queued transactions, indexed by domain
 	inflight  completionHeap
 	perBank   []int // in-flight transactions per flat bank
 	stats     Stats
-	byDomain  map[mem.Domain]uint64 // real bytes served per domain
+	byDomain  []uint64 // real bytes served, indexed by domain
 	lineSize  uint64
 	out       []mem.Response // drain's result, reused across ticks
 
@@ -144,7 +144,6 @@ func New(dev *dram.Device, mapper *mem.Mapper, sched Scheduler, capacity int) *C
 		sched:    sched,
 		capacity: capacity,
 		perBank:  make([]int, mapper.BankCount()),
-		byDomain: make(map[mem.Domain]uint64),
 		lineSize: uint64(mapper.Geometry().LineBytes),
 	}
 }
@@ -156,7 +155,17 @@ func New(dev *dram.Device, mapper *mem.Mapper, sched Scheduler, capacity int) *C
 // through queue-full signals even under a non-interfering scheduler.
 func (c *Controller) PartitionQueue(perDomain int) {
 	c.domainCap = perDomain
-	c.perDomain = make(map[mem.Domain]int)
+	c.perDomain = c.perDomain[:0]
+}
+
+// growFor returns s extended with zeros so that s[d] is valid. The
+// per-domain slices grow on demand because domains are dense but their
+// count is not known up front (a Cluster channel serves 100+ tenants).
+func growFor[T int | uint64](s []T, d mem.Domain) []T {
+	if int(d) < len(s) {
+		return s
+	}
+	return append(s, make([]T, int(d)+1-len(s))...)
 }
 
 // Observe attaches an observability registry and tracer (either may be
@@ -194,7 +203,7 @@ func (c *Controller) Full() bool { return len(c.queue) >= c.capacity }
 // per-domain partitioning when enabled.
 func (c *Controller) FullFor(d mem.Domain) bool {
 	if c.domainCap > 0 {
-		return c.perDomain[d] >= c.domainCap
+		return int(d) < len(c.perDomain) && c.perDomain[d] >= c.domainCap
 	}
 	return len(c.queue) >= c.capacity
 }
@@ -210,6 +219,7 @@ func (c *Controller) Idle() bool { return len(c.queue) == 0 && len(c.inflight) =
 // request's Arrival field is stamped with now.
 func (c *Controller) Enqueue(req mem.Request, now uint64) bool {
 	if c.domainCap > 0 {
+		c.perDomain = growFor(c.perDomain, req.Domain)
 		if c.perDomain[req.Domain] >= c.domainCap {
 			return false
 		}
@@ -278,6 +288,7 @@ func (c *Controller) issue(idx int, now uint64) {
 		c.stats.Fakes++
 	} else {
 		c.stats.BytesServed += c.lineSize
+		c.byDomain = growFor(c.byDomain, e.Req.Domain)
 		c.byDomain[e.Req.Domain] += c.lineSize
 		c.stats.TotalLatency += res.DataDone - e.Req.Arrival
 		if res.Start > e.Req.Arrival {
@@ -388,13 +399,18 @@ func (c *Controller) NextEvent(now uint64) (uint64, bool) {
 func (c *Controller) Stats() Stats { return c.stats }
 
 // BytesForDomain returns the real (non-fake) bytes served for the domain.
-func (c *Controller) BytesForDomain(d mem.Domain) uint64 { return c.byDomain[d] }
+func (c *Controller) BytesForDomain(d mem.Domain) uint64 {
+	if int(d) >= len(c.byDomain) {
+		return 0
+	}
+	return c.byDomain[d]
+}
 
 // QueueSnapshot returns the per-domain occupancy of the transaction queue,
 // for watchdog diagnostics (the queue picture at the moment an invariant
 // fails). Domains with no queued requests are absent from the map.
 func (c *Controller) QueueSnapshot() map[mem.Domain]int {
-	snap := make(map[mem.Domain]int, len(c.perDomain))
+	snap := make(map[mem.Domain]int)
 	for _, e := range c.queue {
 		snap[e.Req.Domain]++
 	}

@@ -2,7 +2,6 @@ package memctrl
 
 import (
 	"fmt"
-	"sort"
 
 	"dagguise/internal/mem"
 )
@@ -41,10 +40,13 @@ func (c *Controller) SaveState() ControllerState {
 	for _, f := range c.inflight {
 		st.Inflight = append(st.Inflight, CompletionSave{At: f.at, Resp: f.resp})
 	}
+	// Served bytes only ever grow by a positive line size, so the zero
+	// entries are exactly the domains never served.
 	for d, b := range c.byDomain {
-		st.ByDomain = append(st.ByDomain, DomainBytes{Domain: d, Bytes: b})
+		if b != 0 {
+			st.ByDomain = append(st.ByDomain, DomainBytes{Domain: mem.Domain(d), Bytes: b})
+		}
 	}
-	sort.Slice(st.ByDomain, func(i, j int) bool { return st.ByDomain[i].Domain < st.ByDomain[j].Domain })
 	return st
 }
 
@@ -57,12 +59,11 @@ func (c *Controller) RestoreState(st ControllerState) error {
 	}
 	c.wake = 0
 	c.queue = c.queue[:0]
-	if c.domainCap > 0 {
-		c.perDomain = make(map[mem.Domain]int)
-	}
+	clear(c.perDomain)
 	for _, req := range st.Queue {
 		c.queue = append(c.queue, Entry{Req: req, Coord: c.mapper.Decode(req.Addr)})
 		if c.domainCap > 0 {
+			c.perDomain = growFor(c.perDomain, req.Domain)
 			c.perDomain[req.Domain]++
 			if c.perDomain[req.Domain] > c.domainCap {
 				return fmt.Errorf("memctrl: state holds %d queued requests for domain %d, partition cap is %d",
@@ -80,8 +81,9 @@ func (c *Controller) RestoreState(st ControllerState) error {
 		c.perBank[fb]++
 	}
 	c.stats = st.Stats
-	c.byDomain = make(map[mem.Domain]uint64, len(st.ByDomain))
+	clear(c.byDomain)
 	for _, db := range st.ByDomain {
+		c.byDomain = growFor(c.byDomain, db.Domain)
 		c.byDomain[db.Domain] = db.Bytes
 	}
 	return nil

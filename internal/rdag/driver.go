@@ -36,6 +36,8 @@ type Slot struct {
 // dependencies are satisfied at cycle now; the shaper emits one request per
 // slot (real if a matching one is queued, fake otherwise) and must call
 // Complete with the slot's token when the request's response returns.
+// Poll's result is valid until the next Poll: implementations may reuse
+// its backing array, so callers consume it before polling again.
 type Driver interface {
 	Poll(now uint64) []Slot
 	Complete(token int, now uint64)
@@ -61,6 +63,7 @@ type PatternDriver struct {
 	seqs        []seqState
 	outstanding int
 	emitted     uint64
+	out         []Slot // Poll's result, reused across polls
 }
 
 // NewPatternDriver builds a driver for the template.
@@ -87,7 +90,7 @@ func (d *PatternDriver) Template() Template { return d.tpl }
 
 // Poll implements Driver. The token is the sequence index.
 func (d *PatternDriver) Poll(now uint64) []Slot {
-	var out []Slot
+	out := d.out[:0]
 	for i := range d.seqs {
 		s := &d.seqs[i]
 		if s.waiting || now < s.nextAt {
@@ -111,6 +114,7 @@ func (d *PatternDriver) Poll(now uint64) []Slot {
 		d.emitted++
 		out = append(out, Slot{Token: i, Bank: bank, Kind: kind, Row: row})
 	}
+	d.out = out
 	return out
 }
 

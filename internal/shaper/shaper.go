@@ -61,6 +61,7 @@ type Shaper struct {
 	queue  []pending
 	tokens map[uint64]int // emitted request ID -> driver token
 	stats  Stats
+	out    []mem.Request // Tick's result, reused across ticks
 
 	// Observability (nil = off). emitAt tracks emission cycles per
 	// request ID for the rDAG node-wait histogram; it is only populated
@@ -151,14 +152,15 @@ func (s *Shaper) Enqueue(req mem.Request, now uint64) (bool, error) {
 }
 
 // Tick polls the defense rDAG and returns the requests (real or fake) to
-// forward to the global transaction queue this cycle.
+// forward to the global transaction queue this cycle. The returned slice
+// is reused by the next Tick; callers must not keep it.
 func (s *Shaper) Tick(now uint64) []mem.Request {
 	s.mx.Observe(obs.HistShaperQueue, int(s.domain), uint64(len(s.queue)))
 	slots := s.driver.Poll(now)
 	if len(slots) == 0 {
 		return nil
 	}
-	out := make([]mem.Request, 0, len(slots))
+	s.out = s.out[:0]
 	for _, slot := range slots {
 		req, real := s.match(slot)
 		if !real {
@@ -182,9 +184,9 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 		// victim would leak through scheduling priority.
 		req.Prefetch = false
 		s.tokens[req.ID] = slot.Token
-		out = append(out, req)
+		s.out = append(s.out, req)
 	}
-	return out
+	return s.out
 }
 
 // rowOK checks a pending request against the slot's row relation, using

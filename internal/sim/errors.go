@@ -114,10 +114,10 @@ func DefaultWatchdog() Watchdog {
 // the run died.
 func (s *System) errf(inv Invariant, dom mem.Domain, cause error, format string, args ...interface{}) *SimError {
 	s.tr.Emit(obs.Event{Cycle: s.now, Comp: obs.CompSystem, Kind: obs.EvViolation, Domain: int32(dom)})
-	egress := make(map[mem.Domain]int, len(s.egress))
-	for d, q := range s.egress {
-		if len(q) > 0 {
-			egress[d] = len(q)
+	egress := make(map[mem.Domain]int, len(s.order))
+	for d := range s.lanes {
+		if q := s.lanes[d].egress; len(q) > 0 {
+			egress[mem.Domain(d)] = len(q)
 		}
 	}
 	return &SimError{

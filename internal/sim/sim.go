@@ -59,10 +59,10 @@ type System struct {
 	cores  []*cpu.Core
 	specs  []CoreSpec
 
-	shapers map[mem.Domain]*shaper.Shaper
-	camos   map[mem.Domain]*camouflage.Shaper
-	egress  map[mem.Domain][]mem.Request
-	order   []mem.Domain // shaper service order, deterministic
+	// lanes holds each domain's shaping state, indexed by domain (slot
+	// 0, the unattributed domain, stays empty).
+	lanes []lane
+	order []mem.Domain // shaped domains in service order, deterministic
 
 	// Fault injection and forward-progress watchdog (nil/zero = off).
 	faults   *fault.Injector
@@ -70,9 +70,8 @@ type System struct {
 	deferred []deferredResp // responses withheld by delay/drop faults
 	portErr  error          // routing violation raised inside a port this tick
 
-	egressHW     map[mem.Domain]int // per-domain egress depth high-water marks
-	lastProgress uint64             // last cycle with retirement or delivery
-	lastRetired  uint64             // total retired instructions at lastProgress
+	lastProgress uint64 // last cycle with retirement or delivery
+	lastRetired  uint64 // total retired instructions at lastProgress
 
 	traceOn bool
 	traces  map[mem.Domain][]EgressEvent
@@ -92,6 +91,17 @@ type System struct {
 
 	now    uint64
 	nextID uint64
+}
+
+// lane is one domain's path from its core to the controller. A shaped
+// domain has exactly one of sh (DAGguise) and camo (Camouflage); its
+// emissions stage in egress, whose peak depth is hw. Unshaped lanes stay
+// zero.
+type lane struct {
+	sh     *shaper.Shaper
+	camo   *camouflage.Shaper
+	egress []mem.Request
+	hw     int
 }
 
 // deferredResp is a response withheld by a delay/drop fault, due for
@@ -149,14 +159,11 @@ func New(cfg config.SystemConfig, specs []CoreSpec) (*System, error) {
 	dev := dram.New(cfg.Timing, mapper, cfg.ClosedRow)
 
 	s := &System{
-		cfg:      cfg,
-		mapper:   mapper,
-		dev:      dev,
-		shapers:  make(map[mem.Domain]*shaper.Shaper),
-		camos:    make(map[mem.Domain]*camouflage.Shaper),
-		egress:   make(map[mem.Domain][]mem.Request),
-		egressHW: make(map[mem.Domain]int),
-		specs:    specs,
+		cfg:    cfg,
+		mapper: mapper,
+		dev:    dev,
+		lanes:  make([]lane, cfg.Cores+1),
+		specs:  specs,
 	}
 
 	policy, err := s.buildPolicy(specs)
@@ -184,9 +191,6 @@ func New(cfg config.SystemConfig, specs []CoreSpec) (*System, error) {
 			return nil, err
 		}
 		s.cores = append(s.cores, cpu.New(dom, spec.Source, hier, cfg.Core, port, alloc))
-	}
-	for _, dom := range s.order {
-		s.egressHW[dom] = 0 // shaped domains always report a high-water mark
 	}
 	return s, nil
 }
@@ -312,7 +316,7 @@ func (s *System) buildPort(dom mem.Domain, spec CoreSpec) (cpu.Port, error) {
 			return nil, err
 		}
 		sh := shaper.New(dom, driver, s.mapper, privateQueueDepth, s.alloc, int64(dom)*7919)
-		s.shapers[dom] = sh
+		s.lanes[dom].sh = sh
 		s.order = append(s.order, dom)
 		return dagPort{s, sh}, nil
 	case config.Camouflage:
@@ -324,7 +328,7 @@ func (s *System) buildPort(dom mem.Domain, spec CoreSpec) (cpu.Port, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.camos[dom] = sh
+		s.lanes[dom].camo = sh
 		s.order = append(s.order, dom)
 		return camoPort{s, sh}, nil
 	default:
@@ -365,13 +369,13 @@ func (s *System) tick() error {
 		return s.errf(InvariantProtocol, 0, s.portErr, "request misrouted at core port")
 	}
 	for _, dom := range s.order {
+		ln := &s.lanes[dom]
 		var emitted []mem.Request
-		if sh, ok := s.shapers[dom]; ok {
-			emitted = sh.Tick(now)
+		if ln.sh != nil {
+			emitted = ln.sh.Tick(now)
 			s.prof.Lap(obs.PBShaper)
-		}
-		if sh, ok := s.camos[dom]; ok {
-			emitted = append(emitted, sh.Tick(now)...)
+		} else {
+			emitted = ln.camo.Tick(now)
 			s.prof.Lap(obs.PBCamouflage)
 		}
 		if s.traceOn {
@@ -383,13 +387,13 @@ func (s *System) tick() error {
 				})
 			}
 		}
-		q := append(s.egress[dom], emitted...)
+		q := append(ln.egress, emitted...)
 		// The high-water mark records peak staging occupancy, so it must be
 		// sampled before the drain: post-drain the queue is empty whenever
 		// the controller keeps up, and the mark would stay zero on every
 		// healthy run.
-		if len(q) > s.egressHW[dom] {
-			s.egressHW[dom] = len(q)
+		if len(q) > ln.hw {
+			ln.hw = len(q)
 		}
 		s.mx.Observe(obs.HistEgressQueue, int(dom), uint64(len(q)))
 		// Drain into the controller through an index cursor and compact
@@ -409,7 +413,7 @@ func (s *System) tick() error {
 			rest := copy(q, q[n:])
 			q = q[:rest]
 		}
-		s.egress[dom] = q
+		ln.egress = q
 		if s.wd.EgressHighWater > 0 && len(q) > s.wd.EgressHighWater {
 			return s.errf(InvariantLivelock, dom, nil,
 				"egress queue depth %d exceeds high-water mark %d", len(q), s.wd.EgressHighWater)
@@ -500,8 +504,8 @@ func (s *System) idle() bool {
 	if !s.ctrl.Idle() || len(s.deferred) > 0 {
 		return false
 	}
-	for _, q := range s.egress {
-		if len(q) > 0 {
+	for i := range s.lanes {
+		if len(s.lanes[i].egress) > 0 {
 			return false
 		}
 	}
@@ -514,8 +518,9 @@ func (s *System) idle() bool {
 }
 
 func (s *System) route(resp mem.Response, now uint64) error {
-	if sh, ok := s.shapers[resp.Domain]; ok {
-		deliver, err := sh.OnResponse(resp, now)
+	ln := &s.lanes[resp.Domain]
+	if ln.sh != nil {
+		deliver, err := ln.sh.OnResponse(resp, now)
 		if err != nil {
 			return err
 		}
@@ -524,8 +529,8 @@ func (s *System) route(resp mem.Response, now uint64) error {
 		}
 		return nil
 	}
-	if sh, ok := s.camos[resp.Domain]; ok {
-		if sh.OnResponse(resp, now) {
+	if ln.camo != nil {
+		if ln.camo.OnResponse(resp, now) {
 			return s.coreFor(resp.Domain).OnResponse(resp, now)
 		}
 		return nil
@@ -631,11 +636,10 @@ func (s *System) Observe(mx *obs.Registry, tr *obs.Tracer) {
 	s.tr = tr
 	s.ctrl.Observe(mx, tr)
 	for _, dom := range s.order {
-		if sh, ok := s.shapers[dom]; ok {
-			sh.Observe(mx, tr)
-		}
-		if sh, ok := s.camos[dom]; ok {
-			sh.Observe(mx, tr)
+		if ln := &s.lanes[dom]; ln.sh != nil {
+			ln.sh.Observe(mx, tr)
+		} else {
+			ln.camo.Observe(mx, tr)
 		}
 	}
 	for _, c := range s.cores {
@@ -699,8 +703,10 @@ func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 
 // Shaper returns the DAGguise shaper of the domain, if any.
 func (s *System) Shaper(d mem.Domain) (*shaper.Shaper, bool) {
-	sh, ok := s.shapers[d]
-	return sh, ok
+	if int(d) >= len(s.lanes) || s.lanes[d].sh == nil {
+		return nil, false
+	}
+	return s.lanes[d].sh, true
 }
 
 // CoreResult is the per-core outcome of a measurement window.
@@ -756,11 +762,10 @@ func (s *System) snap() snapshot {
 		sn.wbs = append(sn.wbs, st.Writebacks)
 		sn.bytes = append(sn.bytes, s.ctrl.BytesForDomain(domainOf(i)))
 		var fakes, fwd uint64
-		if sh, ok := s.shapers[domainOf(i)]; ok {
-			fakes, fwd = sh.Stats().Fakes, sh.Stats().Forwarded
-		}
-		if sh, ok := s.camos[domainOf(i)]; ok {
-			fakes, fwd = sh.Stats().Fakes, sh.Stats().Forwarded
+		if ln := &s.lanes[domainOf(i)]; ln.sh != nil {
+			fakes, fwd = ln.sh.Stats().Fakes, ln.sh.Stats().Forwarded
+		} else if ln.camo != nil {
+			fakes, fwd = ln.camo.Stats().Fakes, ln.camo.Stats().Forwarded
 		}
 		sn.fakes = append(sn.fakes, fakes)
 		sn.fwd = append(sn.fwd, fwd)
@@ -845,9 +850,10 @@ func (s *System) measureWith(run func(uint64) error, warmup, window uint64) (Res
 	}
 	res.RowHits, res.RowMisses, res.RowConflicts, _ = s.dev.Stats()
 	res.QueueMaxDepth = s.ctrl.Stats().MaxQueueLen
-	if len(s.egressHW) > 0 {
-		res.EgressDepths = make(map[mem.Domain]int, len(s.egressHW))
-		for d, hw := range s.egressHW {
+	if len(s.order) > 0 {
+		res.EgressDepths = make(map[mem.Domain]int, len(s.order))
+		for _, d := range s.order {
+			hw := s.lanes[d].hw
 			res.EgressDepths[d] = hw
 			if hw > res.EgressMaxDepth {
 				res.EgressMaxDepth = hw

@@ -131,27 +131,25 @@ func (s *System) SaveState() (*SystemState, error) {
 		st.Sched = &sst
 	}
 	for _, dom := range s.order {
-		if sh, ok := s.shapers[dom]; ok {
-			shs, err := sh.SaveState()
+		ln := &s.lanes[dom]
+		if ln.sh != nil {
+			shs, err := ln.sh.SaveState()
 			if err != nil {
 				return nil, err
 			}
 			st.Shapers = append(st.Shapers, DomainShaperState{Domain: dom, State: shs})
+		} else {
+			st.Camos = append(st.Camos, DomainCamoState{Domain: dom, State: ln.camo.SaveState()})
 		}
-		if sh, ok := s.camos[dom]; ok {
-			st.Camos = append(st.Camos, DomainCamoState{Domain: dom, State: sh.SaveState()})
+		if len(ln.egress) > 0 {
+			st.Egress = append(st.Egress, DomainRequests{Domain: dom, Reqs: append([]mem.Request(nil), ln.egress...)})
 		}
-		if q := s.egress[dom]; len(q) > 0 {
-			st.Egress = append(st.Egress, DomainRequests{Domain: dom, Reqs: append([]mem.Request(nil), q...)})
-		}
+		// Every shaped domain reports a high-water mark, in domain order.
+		st.EgressHW = append(st.EgressHW, DomainInt{Domain: dom, V: ln.hw})
 	}
 	for _, d := range s.deferred {
 		st.Deferred = append(st.Deferred, DeferredSave{At: d.at, Resp: d.resp})
 	}
-	for dom, hw := range s.egressHW {
-		st.EgressHW = append(st.EgressHW, DomainInt{Domain: dom, V: hw})
-	}
-	sort.Slice(st.EgressHW, func(i, j int) bool { return st.EgressHW[i].Domain < st.EgressHW[j].Domain })
 	for dom, tap := range s.auditTaps {
 		st.AuditTaps = append(st.AuditTaps, DomainTapState{Domain: dom, Samples: tap.SaveState()})
 	}
@@ -176,9 +174,8 @@ func (s *System) RestoreState(st *SystemState) error {
 	if st.Cores != len(s.cores) || len(st.CoreStates) != len(s.cores) {
 		return fmt.Errorf("sim: state holds %d cores, system has %d", st.Cores, len(s.cores))
 	}
-	if len(st.Shapers) != len(s.shapers) || len(st.Camos) != len(s.camos) {
-		return fmt.Errorf("sim: state holds %d shapers and %d camouflage shapers, system has %d and %d",
-			len(st.Shapers), len(st.Camos), len(s.shapers), len(s.camos))
+	if err := s.checkLanes(st); err != nil {
+		return err
 	}
 	for i, c := range s.cores {
 		if err := c.RestoreState(st.CoreStates[i]); err != nil {
@@ -202,41 +199,29 @@ func (s *System) RestoreState(st *SystemState) error {
 		return fmt.Errorf("sim: state carries %q arbiter state, system policy %s is stateless", st.Sched.Kind, s.policy.Name())
 	}
 	for _, ds := range st.Shapers {
-		sh, ok := s.shapers[ds.Domain]
-		if !ok {
-			return fmt.Errorf("sim: state holds shaper state for domain %d, system has none", ds.Domain)
-		}
-		if err := sh.RestoreState(ds.State); err != nil {
+		if err := s.lanes[ds.Domain].sh.RestoreState(ds.State); err != nil {
 			return err
 		}
 	}
 	for _, ds := range st.Camos {
-		sh, ok := s.camos[ds.Domain]
-		if !ok {
-			return fmt.Errorf("sim: state holds camouflage state for domain %d, system has none", ds.Domain)
-		}
-		if err := sh.RestoreState(ds.State); err != nil {
+		if err := s.lanes[ds.Domain].camo.RestoreState(ds.State); err != nil {
 			return err
 		}
 	}
-	for dom := range s.egress {
-		delete(s.egress, dom)
+	for i := range s.lanes {
+		s.lanes[i].egress = s.lanes[i].egress[:0]
+		s.lanes[i].hw = 0
 	}
 	for _, dq := range st.Egress {
-		s.egress[dq.Domain] = append([]mem.Request(nil), dq.Reqs...)
+		ln := &s.lanes[dq.Domain]
+		ln.egress = append(ln.egress[:0], dq.Reqs...)
 	}
 	s.deferred = s.deferred[:0]
 	for _, d := range st.Deferred {
 		s.deferred = append(s.deferred, deferredResp{at: d.At, resp: d.Resp})
 	}
-	s.egressHW = make(map[mem.Domain]int, len(st.EgressHW))
 	for _, di := range st.EgressHW {
-		s.egressHW[di.Domain] = di.V
-	}
-	for _, dom := range s.order {
-		if _, ok := s.egressHW[dom]; !ok {
-			s.egressHW[dom] = 0
-		}
+		s.lanes[di.Domain].hw = di.V
 	}
 	for _, dt := range st.AuditTaps {
 		if tap, ok := s.auditTaps[dt.Domain]; ok {
@@ -264,5 +249,51 @@ func (s *System) RestoreState(st *SystemState) error {
 	s.lastProgress = st.LastProgress
 	s.lastRetired = st.LastRetired
 	s.portErr = nil
+	return nil
+}
+
+// checkLanes validates the per-domain parts of a checkpoint against the
+// system's lanes before anything is overwritten. Shaper states must name
+// the shaped domains in service order, as SaveState writes them; egress
+// queues and high-water marks must name a shaped domain in 1..cores.
+func (s *System) checkLanes(st *SystemState) error {
+	var shapers, camos []mem.Domain
+	for _, dom := range s.order {
+		if s.lanes[dom].sh != nil {
+			shapers = append(shapers, dom)
+		} else {
+			camos = append(camos, dom)
+		}
+	}
+	if len(st.Shapers) != len(shapers) || len(st.Camos) != len(camos) {
+		return fmt.Errorf("sim: state holds %d shapers and %d camouflage shapers, system has %d and %d",
+			len(st.Shapers), len(st.Camos), len(shapers), len(camos))
+	}
+	for i, ds := range st.Shapers {
+		if ds.Domain != shapers[i] {
+			return fmt.Errorf("sim: state holds shaper state for domain %d where the system shapes domain %d", ds.Domain, shapers[i])
+		}
+	}
+	for i, ds := range st.Camos {
+		if ds.Domain != camos[i] {
+			return fmt.Errorf("sim: state holds camouflage state for domain %d where the system shapes domain %d", ds.Domain, camos[i])
+		}
+	}
+	shaped := func(what string, dom mem.Domain) error {
+		if dom == 0 || int(dom) >= len(s.lanes) || (s.lanes[dom].sh == nil && s.lanes[dom].camo == nil) {
+			return fmt.Errorf("sim: state holds %s for domain %d, which is not a shaped domain in 1..%d", what, dom, len(s.cores))
+		}
+		return nil
+	}
+	for _, dq := range st.Egress {
+		if err := shaped("an egress queue", dq.Domain); err != nil {
+			return err
+		}
+	}
+	for _, di := range st.EgressHW {
+		if err := shaped("an egress high-water mark", di.Domain); err != nil {
+			return err
+		}
+	}
 	return nil
 }

@@ -7,7 +7,11 @@
 // latency sensitivity.
 package trace
 
-import "dagguise/internal/mem"
+import (
+	"slices"
+
+	"dagguise/internal/mem"
+)
 
 // Op is one memory operation.
 type Op struct {
@@ -84,7 +88,6 @@ func (l *Loop) Reset() {
 type Recorder struct {
 	ops      []Op
 	gap      int
-	lastLine map[uint64]int // line -> op index, for dependency inference
 	inferDep bool
 }
 
@@ -92,8 +95,12 @@ type Recorder struct {
 // line that was previously accessed records a dependency on the earlier
 // op, modelling data-dependent address generation (hash-table chains).
 func NewRecorder(inferDeps bool) *Recorder {
-	return &Recorder{lastLine: make(map[uint64]int), inferDep: inferDeps}
+	return &Recorder{inferDep: inferDeps}
 }
+
+// Grow reserves room for n more ops, so a caller that knows the trace
+// length records it without re-growing the op slice.
+func (r *Recorder) Grow(n int) { r.ops = slices.Grow(r.ops, n) }
 
 // Compute records n non-memory instructions.
 func (r *Recorder) Compute(n int) { r.gap += n }

@@ -145,6 +145,18 @@ func docDistInto(rec *trace.Recorder, input []int, refVec []float64, cfg DocDist
 	return math.Sqrt(sum), nil
 }
 
+// docDistOps is the number of ops docDistInto records for one document of
+// the given length: a store sweep and a two-load distance sweep over the
+// vocabulary, plus a counter load and store per word and, with a
+// dictionary, a bucket probe per word.
+func docDistOps(cfg DocDistConfig, words int) int {
+	perWord := 2
+	if cfg.DictBuckets > 0 {
+		perWord = 3
+	}
+	return 3*cfg.Vocabulary + perWord*words
+}
+
 // RandomDoc generates a document of n words drawn from a Zipf-like
 // distribution over the vocabulary (natural texts are Zipfian; this
 // matters because it concentrates accesses on hot counters).
@@ -194,6 +206,7 @@ func DocDistTrace(secretSeed int64, cfg DocDistConfig) (*trace.Slice, error) {
 	arena := cfg.Base + vecBytes // arena of input vectors after the reference
 	ref := ReferenceVector(1, 4*words, cfg.Vocabulary)
 	rec := trace.NewRecorder(false)
+	rec.Grow(docs * docDistOps(cfg, words))
 	for d := 0; d < docs; d++ {
 		doc := RandomDoc(secretSeed+int64(d)*257, words, cfg.Vocabulary)
 		inBase := arena + uint64(d%slots)*vecBytes
