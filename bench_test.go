@@ -611,3 +611,29 @@ func BenchmarkSystemTick(b *testing.B) {
 		sys.Tick()
 	}
 }
+
+// BenchmarkCluster measures the datacenter-scale machine's per-cycle cost:
+// 100 tenants on a 1-of-4-channel slice (one fleet shard's twin), for the
+// insecure and the DAGguise scheme. Each iteration builds a cluster
+// (untimed) and runs it 50k cycles; the metric is wall time per simulated
+// cluster cycle.
+func BenchmarkCluster(b *testing.B) {
+	const cycles = 50_000
+	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
+		b.Run(scheme.String(), func(b *testing.B) {
+			// fleet.DefaultSweep's configuration, with the scheme swapped in.
+			cfg := config.DefaultMultiChannel(4, 100, config.DAGguise)
+			cfg.Scheme = scheme
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := sim.NewCluster(cfg, 0, 1, int64(i+1), 11)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				c.Run(cycles)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cycles), "ns/cluster-cycle")
+		})
+	}
+}

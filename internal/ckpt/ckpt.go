@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -59,13 +60,28 @@ var (
 // checkpoint, fault schedules under test) reuses the same framing so every
 // on-disk artifact gets the same truncation/corruption detection.
 func Frame(payload []byte) []byte {
-	buf := make([]byte, 0, headerLen+len(payload)+checksumLen)
-	buf = append(buf, Magic...)
-	buf = binary.BigEndian.AppendUint32(buf, Version)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	sum := sha256.Sum256(buf)
-	return append(buf, sum[:]...)
+	buf := bytes.NewBuffer(make([]byte, 0, headerLen+len(payload)+checksumLen))
+	_ = WriteFrame(buf, payload) // writes to a bytes.Buffer cannot fail
+	return buf.Bytes()
+}
+
+// WriteFrame writes Frame(payload) to w as three writes (header, payload,
+// checksum), so the payload is never copied.
+func WriteFrame(w io.Writer, payload []byte) error {
+	var hdr [headerLen]byte
+	copy(hdr[:], Magic)
+	binary.BigEndian.PutUint32(hdr[8:], Version)
+	binary.BigEndian.PutUint64(hdr[12:], uint64(len(payload)))
+	h := sha256.New()
+	h.Write(hdr[:])
+	h.Write(payload)
+	var sum [checksumLen]byte
+	for _, b := range [][]byte{hdr[:], payload, h.Sum(sum[:0])} {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Unframe validates the snapshot framing and returns the payload bytes. It
@@ -129,9 +145,10 @@ func Decode(data []byte) (*sim.SystemState, error) {
 }
 
 // SaveFrame atomically persists an arbitrary payload under the snapshot
-// framing — the durable-write path for non-simulator state.
+// framing — the durable-write path for non-simulator state. The frame is
+// streamed into the file, never built in memory.
 func SaveFrame(path string, payload []byte) error {
-	return WriteFileAtomic(path, Frame(payload))
+	return WriteAtomic(path, func(w io.Writer) error { return WriteFrame(w, payload) })
 }
 
 // LoadFrame reads the framed file at path and returns its validated
@@ -177,6 +194,15 @@ func Load(path string) (*sim.SystemState, error) {
 // file, fsync, rename, and directory fsync. It is also used for the
 // runner's resume manifests.
 func WriteFileAtomic(path string, data []byte) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// WriteAtomic is WriteFileAtomic for content that body writes to the
+// temp file.
+func WriteAtomic(path string, body func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: create dir: %w", err)
@@ -187,7 +213,7 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if err := body(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("ckpt: write temp: %w", err)
 	}

@@ -94,11 +94,11 @@ type Core struct {
 
 	outstanding int
 	reads       map[uint64]uint64 // reqID -> seq
-	wbQueue     []uint64
+	wbQueue     lineQueue         // dirty lines awaiting a port slot
 
 	pf          *prefetcher
-	pfPending   []uint64   // prefetch lines awaiting a free slot/port
-	fillPending []uint64   // store-miss fill lines (write-allocate)
+	pfPending   lineQueue  // prefetch lines awaiting a free slot/port
+	fillPending lineQueue  // store-miss fill lines (write-allocate)
 	pfInFlight  []pfFlight // in-flight prefetches/fills, one per line
 
 	exhausted bool
@@ -178,29 +178,31 @@ func (c *Core) issuePrefetches(now uint64) {
 	if budget < 4 {
 		budget = 4
 	}
-	// Both queues drain through an index cursor and compact with copy. A
-	// fill left behind (budget spent or port full) blocks the prefetches.
+	// A fill left behind (budget spent or port full) blocks the
+	// prefetches.
+	fills := c.fillPending.lines()
 	n := 0
-	for n < len(c.fillPending) && len(c.pfInFlight) < budget {
-		line := c.fillPending[n]
+	for n < len(fills) && len(c.pfInFlight) < budget {
+		line := fills[n]
 		if !c.lineInFlight(line) && !c.sendPrefetch(line, now) {
 			break
 		}
 		n++
 	}
-	c.fillPending = c.fillPending[:copy(c.fillPending, c.fillPending[n:])]
-	if len(c.fillPending) > 0 {
+	c.fillPending.consume(n)
+	if n < len(fills) {
 		return
 	}
+	pfs := c.pfPending.lines()
 	n = 0
-	for n < len(c.pfPending) && len(c.pfInFlight) < budget {
-		line := c.pfPending[n]
+	for n < len(pfs) && len(c.pfInFlight) < budget {
+		line := pfs[n]
 		if !c.lineInFlight(line) && !c.hier.Contains(line*64) && !c.sendPrefetch(line, now) {
 			break
 		}
 		n++
 	}
-	c.pfPending = c.pfPending[:copy(c.pfPending, c.pfPending[n:])]
+	c.pfPending.consume(n)
 }
 
 // lineInFlight reports whether a prefetch or fill of the line is in flight.
@@ -274,12 +276,12 @@ func (c *Core) access(s *slot, seq, now uint64) {
 		// store miss still fetches its line (write-allocate) as a
 		// non-blocking fill read through the prefetch engine.
 		res := c.hier.Access(s.op.Addr, true)
-		c.wbQueue = append(c.wbQueue, res.Writebacks...)
+		c.wbQueue.push(res.Writebacks...)
 		if c.pf != nil && res.Level >= 2 {
-			c.pfPending = c.pf.onMiss(c.pfPending, s.op.Addr/64)
+			c.pfPending.buf = c.pf.onMiss(c.pfPending.buf, s.op.Addr/64)
 		}
 		if res.MissToMem {
-			c.fillPending = append(c.fillPending, s.op.Addr/64)
+			c.fillPending.push(s.op.Addr / 64)
 		}
 		s.status = stDone
 		s.completion = now
@@ -292,12 +294,12 @@ func (c *Core) access(s *slot, seq, now uint64) {
 	}
 	if s.reqID != needsMemSentinel {
 		res := c.hier.Access(s.op.Addr, false)
-		c.wbQueue = append(c.wbQueue, res.Writebacks...)
+		c.wbQueue.push(res.Writebacks...)
 		// Train the stream prefetcher on every L1 miss — including hits
 		// on previously prefetched lines in L2/L3, otherwise a covered
 		// stream would stop advancing and stall itself.
 		if c.pf != nil && res.Level >= 2 {
-			c.pfPending = c.pf.onMiss(c.pfPending, s.op.Addr/64)
+			c.pfPending.buf = c.pf.onMiss(c.pfPending.buf, s.op.Addr/64)
 		}
 		if !res.MissToMem {
 			s.status = stDone
@@ -319,16 +321,17 @@ func (c *Core) access(s *slot, seq, now uint64) {
 }
 
 func (c *Core) flushWritebacks(now uint64) {
+	lines := c.wbQueue.lines()
 	n := 0
-	for n < len(c.wbQueue) {
-		req := mem.Request{ID: c.alloc(), Addr: c.wbQueue[n], Kind: mem.Write, Domain: c.domain, Issue: now}
+	for n < len(lines) {
+		req := mem.Request{ID: c.alloc(), Addr: lines[n], Kind: mem.Write, Domain: c.domain, Issue: now}
 		if !c.port.TryEnqueue(req, now) {
 			break
 		}
 		n++
 		c.stats.Writebacks++
 	}
-	c.wbQueue = c.wbQueue[:copy(c.wbQueue, c.wbQueue[n:])]
+	c.wbQueue.consume(n)
 }
 
 func (c *Core) retire(now uint64) {
@@ -392,7 +395,7 @@ func (c *Core) OnResponse(resp mem.Response, now uint64) error {
 			last := len(c.pfInFlight) - 1
 			c.pfInFlight[i] = c.pfInFlight[last]
 			c.pfInFlight = c.pfInFlight[:last]
-			c.wbQueue = append(c.wbQueue, c.hier.PrefetchFill(f.line*64)...)
+			c.wbQueue.push(c.hier.PrefetchFill(f.line * 64)...)
 			return nil
 		}
 	}
@@ -413,3 +416,31 @@ func (c *Core) OnResponse(resp mem.Response, now uint64) error {
 
 // Outstanding returns in-flight memory reads.
 func (c *Core) Outstanding() int { return c.outstanding }
+
+// lineQueue is a FIFO of cache lines drained through a head cursor. A
+// drain that consumes nothing costs nothing; the consumed prefix is
+// dropped only once it is at least half the buffer, so each line is
+// copied at most once on average however long the backlog grows.
+type lineQueue struct {
+	buf  []uint64
+	head int
+}
+
+// lines returns the queued lines, oldest first.
+func (q *lineQueue) lines() []uint64 { return q.buf[q.head:] }
+
+func (q *lineQueue) push(lines ...uint64) { q.buf = append(q.buf, lines...) }
+
+// consume drops the n oldest lines.
+func (q *lineQueue) consume(n int) {
+	q.head += n
+	if 2*q.head >= len(q.buf) {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+}
+
+// reset replaces the contents with lines.
+func (q *lineQueue) reset(lines []uint64) {
+	q.buf, q.head = append(q.buf[:0], lines...), 0
+}

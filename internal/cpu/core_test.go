@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dagguise/internal/cache"
@@ -224,5 +226,39 @@ func TestLoopedTraceNeverDone(t *testing.T) {
 	}
 	if src.Wraps == 0 {
 		t.Fatal("trace never wrapped")
+	}
+}
+
+// TestLineQueueMatchesSlice drives the backlog FIFO and a plain slice with
+// the same pushes and drains: the queued lines must agree after every
+// step, whether a drain consumes nothing, part of the backlog or all of it.
+func TestLineQueueMatchesSlice(t *testing.T) {
+	rnd := rand.New(rand.NewSource(9))
+	var q lineQueue
+	var want []uint64
+	next := uint64(1)
+	for step := 0; step < 20_000; step++ {
+		for k := rnd.Intn(4); k > 0; k-- {
+			q.push(next)
+			want = append(want, next)
+			next++
+		}
+		n := 0
+		switch rnd.Intn(4) {
+		case 0: // blocked drain
+		case 1:
+			n = len(want)
+		default:
+			n = rnd.Intn(len(want) + 1)
+		}
+		q.consume(n)
+		want = want[n:]
+		if got := q.lines(); !slices.Equal(got, want) {
+			t.Fatalf("step %d: queue holds %v, want %v", step, got, want)
+		}
+	}
+	q.reset([]uint64{7, 8})
+	if got := q.lines(); !slices.Equal(got, []uint64{7, 8}) {
+		t.Fatalf("after reset the queue holds %v", got)
 	}
 }

@@ -86,9 +86,9 @@ func (c *Core) SaveState() (CoreState, error) {
 		InstCount:   c.instCount,
 		Outstanding: c.outstanding,
 		Reads:       sortedPairs(c.reads),
-		WBQueue:     append([]uint64(nil), c.wbQueue...),
-		PfPending:   append([]uint64(nil), c.pfPending...),
-		FillPending: append([]uint64(nil), c.fillPending...),
+		WBQueue:     append([]uint64(nil), c.wbQueue.lines()...),
+		PfPending:   append([]uint64(nil), c.pfPending.lines()...),
+		FillPending: append([]uint64(nil), c.fillPending.lines()...),
 		Exhausted:   c.exhausted,
 		Stats:       c.stats,
 		Source:      src.SaveState(),
@@ -166,9 +166,9 @@ func (c *Core) RestoreState(st CoreState) error {
 	for _, p := range st.Reads {
 		c.reads[p.K] = p.V
 	}
-	c.wbQueue = append(c.wbQueue[:0], st.WBQueue...)
-	c.pfPending = append(c.pfPending[:0], st.PfPending...)
-	c.fillPending = append(c.fillPending[:0], st.FillPending...)
+	c.wbQueue.reset(st.WBQueue)
+	c.pfPending.reset(st.PfPending)
+	c.fillPending.reset(st.FillPending)
 	c.pfInFlight = c.pfInFlight[:0]
 	for _, p := range st.PfInMem {
 		c.pfInFlight = append(c.pfInFlight, pfFlight{id: p.K, line: p.V / 64})

@@ -169,6 +169,12 @@ func (d *Device) BankBusyUntil(c mem.Coord) uint64 {
 	return d.banks[d.mapper.FlatBank(c)].busyUntil
 }
 
+// FlatBankBusyUntil is BankBusyUntil for a flat bank index
+// (mem.Mapper.FlatBank).
+func (d *Device) FlatBankBusyUntil(flatBank int) uint64 {
+	return d.banks[flatBank].busyUntil
+}
+
 // RowOpen reports whether the coordinate's row is currently open, which
 // lets the scheduler implement FR-FCFS row-hit-first policies.
 func (d *Device) RowOpen(c mem.Coord) bool {

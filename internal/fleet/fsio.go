@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"time"
@@ -50,8 +52,9 @@ func newFSIO(inj *fault.FSInjector, backoff, maxWait time.Duration) *fsio {
 
 // fault applies the next operation's injected faults. It returns a
 // non-nil error when the operation must fail this attempt; torn writes
-// deposit their partial artifact at path first.
-func (f *fsio) fault(path string, data []byte) error {
+// deposit their partial artifact, the first half of what body writes,
+// at path first. Only a torn write builds the artifact in memory.
+func (f *fsio) fault(path string, body func(io.Writer) error) error {
 	for _, ev := range f.inj.NextOp() {
 		if f.onFault != nil {
 			f.onFault(ev.Kind, path)
@@ -62,7 +65,9 @@ func (f *fsio) fault(path string, data []byte) error {
 		case fault.FSTornWrite:
 			// A non-atomic writer died mid-write: half the payload lands
 			// at the target path directly, bypassing the atomic protocol.
-			_ = os.WriteFile(path, data[:len(data)/2], 0o644)
+			var buf bytes.Buffer
+			_ = body(&buf)
+			_ = os.WriteFile(path, buf.Bytes()[:buf.Len()/2], 0o644)
 			return fmt.Errorf("%w: torn write %s", fault.ErrInjectedIO, path)
 		case fault.FSRenameStall, fault.FSFsyncDelay:
 			time.Sleep(time.Duration(ev.DelayMs) * time.Millisecond)
@@ -71,13 +76,33 @@ func (f *fsio) fault(path string, data []byte) error {
 	return nil
 }
 
-// writeAtomic durably writes data to path under fault injection,
-// retrying injected failures with deterministic backoff.
+// raw is the artifact body that writes data verbatim.
+func raw(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// writeAtomic durably writes data to path under fault injection.
 func (f *fsio) writeAtomic(path string, data []byte) error {
+	return f.write(path, raw(data))
+}
+
+// saveFrame writes a checksum-framed payload durably (the checkpoint and
+// result format) under fault injection, streaming the frame into the
+// file rather than copying the payload into it.
+func (f *fsio) saveFrame(path string, payload []byte) error {
+	return f.write(path, func(w io.Writer) error { return ckpt.WriteFrame(w, payload) })
+}
+
+// write durably writes the artifact body produces to path, retrying
+// injected failures with deterministic backoff.
+func (f *fsio) write(path string, body func(io.Writer) error) error {
 	for attempt := 0; ; attempt++ {
-		err := f.fault(path, data)
+		err := f.fault(path, body)
 		if err == nil {
-			err = ckpt.WriteFileAtomic(path, data)
+			err = ckpt.WriteAtomic(path, body)
 		}
 		if err == nil {
 			return nil
@@ -87,12 +112,6 @@ func (f *fsio) writeAtomic(path string, data []byte) error {
 		}
 		time.Sleep(runner.BackoffDelay(f.backoff, f.maxWait, f.seed, attempt))
 	}
-}
-
-// saveFrame writes a checksum-framed payload durably (the checkpoint and
-// result format) under fault injection.
-func (f *fsio) saveFrame(path string, payload []byte) error {
-	return f.writeAtomic(path, ckpt.Frame(payload))
 }
 
 // loadFrame reads a framed artifact. Absent files return fs.ErrNotExist

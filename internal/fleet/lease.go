@@ -233,7 +233,7 @@ func (lm *LeaseManager) createExcl(path string, l Lease) error {
 	if err != nil {
 		return err
 	}
-	if err := lm.io.fault(path, blob); err != nil {
+	if err := lm.io.fault(path, raw(blob)); err != nil {
 		return err
 	}
 	return linkFile(lm.dir, path, blob)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dagguise/internal/ckpt"
 	"dagguise/internal/fault"
 )
 
@@ -276,5 +277,33 @@ func TestCommitResultUnderInjectedFaults(t *testing.T) {
 	}
 	if got.DigestA != "aa" {
 		t.Fatal("committed result corrupted by injected faults")
+	}
+}
+
+// TestSaveFrameTornWrite checks the streamed checkpoint write under
+// injection: a torn write deposits the first half of the framed bytes,
+// the same artifact a copying writer would leave, and a clean write
+// after it leaves the full frame.
+func TestSaveFrameTornWrite(t *testing.T) {
+	inj, err := fault.NewFSInjector(fault.FSSchedule{Seed: 3, Events: []fault.FSEvent{{Kind: fault.FSTornWrite, Op: 0}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io := newFSIO(inj, time.Millisecond, 2*time.Millisecond)
+	io.retries = 0
+	path := filepath.Join(t.TempDir(), "pair.ckpt")
+	payload := []byte(`{"a":1,"b":2}`)
+	if err := io.saveFrame(path, payload); !errors.Is(err, fault.ErrInjectedIO) {
+		t.Fatalf("torn write returned %v, want an injected IO error", err)
+	}
+	framed := ckpt.Frame(payload)
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(framed[:len(framed)/2]) {
+		t.Fatalf("torn write left %q (err %v), want the first half of the frame", got, err)
+	}
+	if err := io.saveFrame(path, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ckpt.LoadFrame(path); err != nil || string(got) != string(payload) {
+		t.Fatalf("after a clean write LoadFrame = %q, %v", got, err)
 	}
 }

@@ -73,7 +73,7 @@ func commitResult(io *fsio, lm *LeaseManager, h *Held, dir string, res *ShardRes
 				return err
 			}
 		}
-		err := io.fault(path, framed)
+		err := io.fault(path, raw(framed))
 		if err == nil {
 			err = linkFile(dir, path, framed)
 		}

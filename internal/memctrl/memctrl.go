@@ -31,15 +31,16 @@ const Never = ^uint64(0)
 // Implementations include the insecure FCFS/FR-FCFS policies in this
 // package and the secure FS / FS-BTA / TP arbiters in internal/sched.
 type Scheduler interface {
-	// Pick returns the index into q of the transaction to issue at cycle
-	// now, or -1 if none may issue this cycle. q is the current global
-	// transaction queue in arrival order; dev exposes bank/row state.
+	// Pick returns the handle in q of the transaction to issue at cycle
+	// now, or -1 if none may issue this cycle. q views the current
+	// transaction queue, in arrival order and by bank; dev exposes
+	// bank/row state.
 	//
 	// When idx is -1, wake is the earliest cycle at which a call could
-	// return an index or update the scheduler's own state, provided q
+	// return a handle or update the scheduler's own state, provided q
 	// and dev do not change in between; the controller does not call
 	// Pick again before it. wake is ignored when idx >= 0.
-	Pick(q []Entry, now uint64, dev *dram.Device) (idx int, wake uint64)
+	Pick(q Queue, now uint64, dev *dram.Device) (idx int, wake uint64)
 	// Name identifies the policy in stats output.
 	Name() string
 }
@@ -107,12 +108,11 @@ type Controller struct {
 	dev       *dram.Device
 	mapper    *mem.Mapper
 	sched     Scheduler
-	queue     []Entry
+	queue     queue
 	capacity  int
 	domainCap int   // per-domain queue partition; 0 = shared queue
 	perDomain []int // queued transactions, indexed by domain
 	inflight  completionHeap
-	perBank   []int // in-flight transactions per flat bank
 	stats     Stats
 	byDomain  []uint64 // real bytes served, indexed by domain
 	lineSize  uint64
@@ -142,8 +142,8 @@ func New(dev *dram.Device, mapper *mem.Mapper, sched Scheduler, capacity int) *C
 		dev:      dev,
 		mapper:   mapper,
 		sched:    sched,
+		queue:    newQueue(mapper.BankCount()),
 		capacity: capacity,
-		perBank:  make([]int, mapper.BankCount()),
 		lineSize: uint64(mapper.Geometry().LineBytes),
 	}
 }
@@ -194,10 +194,10 @@ func (c *Controller) Mapper() *mem.Mapper { return c.mapper }
 func (c *Controller) Scheduler() Scheduler { return c.sched }
 
 // QueueLen returns the current global transaction queue occupancy.
-func (c *Controller) QueueLen() int { return len(c.queue) }
+func (c *Controller) QueueLen() int { return c.queue.n }
 
 // Full reports whether the transaction queue is at capacity.
-func (c *Controller) Full() bool { return len(c.queue) >= c.capacity }
+func (c *Controller) Full() bool { return c.queue.n >= c.capacity }
 
 // FullFor reports whether the domain may not enqueue right now, honouring
 // per-domain partitioning when enabled.
@@ -205,14 +205,14 @@ func (c *Controller) FullFor(d mem.Domain) bool {
 	if c.domainCap > 0 {
 		return int(d) < len(c.perDomain) && c.perDomain[d] >= c.domainCap
 	}
-	return len(c.queue) >= c.capacity
+	return c.queue.n >= c.capacity
 }
 
 // InFlight returns the number of committed-but-incomplete transactions.
 func (c *Controller) InFlight() int { return len(c.inflight) }
 
 // Idle reports whether the controller has no queued or in-flight work.
-func (c *Controller) Idle() bool { return len(c.queue) == 0 && len(c.inflight) == 0 }
+func (c *Controller) Idle() bool { return c.queue.n == 0 && len(c.inflight) == 0 }
 
 // Enqueue inserts a request into the global transaction queue. It returns
 // false when the queue is full (the producer must retry later). The
@@ -224,24 +224,19 @@ func (c *Controller) Enqueue(req mem.Request, now uint64) bool {
 			return false
 		}
 		c.perDomain[req.Domain]++
-	} else if len(c.queue) >= c.capacity {
+	} else if c.queue.n >= c.capacity {
 		return false
 	}
 	req.Arrival = now
 	coord := c.mapper.Decode(req.Addr)
-	c.queue = append(c.queue, Entry{Req: req, Coord: coord})
+	c.queue.push(Entry{Req: req, Coord: coord}, c.mapper.FlatBank(coord))
 	if free := c.dev.BankBusyUntil(coord); free < c.wake {
 		c.wake = free
 	}
-	if len(c.queue) > c.stats.MaxQueueLen {
-		c.stats.MaxQueueLen = len(c.queue)
+	if c.queue.n > c.stats.MaxQueueLen {
+		c.stats.MaxQueueLen = c.queue.n
 	}
 	return true
-}
-
-// bankFree reports whether the entry's bank has no in-flight transaction.
-func (c *Controller) bankFree(e Entry) bool {
-	return c.perBank[c.mapper.FlatBank(e.Coord)] == 0
 }
 
 // Tick advances the controller one cycle: it lets the scheduling policy
@@ -250,10 +245,10 @@ func (c *Controller) bankFree(e Entry) bool {
 // last wake cycle has arrived. The returned slice is reused by the next
 // Tick; callers must not keep it.
 func (c *Controller) Tick(now uint64) []mem.Response {
-	c.mx.Observe(obs.HistQueueDepth, 0, uint64(len(c.queue)))
-	if len(c.queue) > 0 && now >= c.wake {
+	c.mx.Observe(obs.HistQueueDepth, 0, uint64(c.queue.n))
+	if c.queue.n > 0 && now >= c.wake {
 		c.prof.Lap(obs.PBMemctrl)
-		idx, wake := c.sched.Pick(c.queue, now, c.dev)
+		idx, wake := c.sched.Pick(Queue{q: &c.queue}, now, c.dev)
 		c.prof.Lap(obs.PBSched)
 		if idx >= 0 {
 			c.issue(idx, now)
@@ -267,8 +262,8 @@ func (c *Controller) Tick(now uint64) []mem.Response {
 }
 
 func (c *Controller) issue(idx int, now uint64) {
-	e := c.queue[idx]
-	c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+	reordered := idx != int(c.queue.head)
+	e := c.queue.remove(idx)
 	c.wake = 0
 	if c.domainCap > 0 {
 		c.perDomain[e.Req.Domain]--
@@ -276,8 +271,6 @@ func (c *Controller) issue(idx int, now uint64) {
 	c.prof.Lap(obs.PBMemctrl)
 	res := c.dev.Service(e.Coord, e.Req.Kind, now)
 	c.prof.Lap(obs.PBDRAM)
-	fb := c.mapper.FlatBank(e.Coord)
-	c.perBank[fb]++
 	c.stats.Issued++
 	if e.Req.Kind == mem.Write {
 		c.stats.Writes++
@@ -296,7 +289,7 @@ func (c *Controller) issue(idx int, now uint64) {
 		}
 	}
 	if c.mx != nil || c.tr != nil {
-		c.record(e, idx, res, fb)
+		c.record(e, reordered, res)
 	}
 	c.inflight.push(completion{
 		at: res.DataDone,
@@ -309,12 +302,13 @@ func (c *Controller) issue(idx int, now uint64) {
 
 // record mirrors one issued transaction into the observability layer:
 // per-domain row-buffer outcome, issue mix, bus/bank occupancy and
-// latency histograms, plus bank- and channel-lane trace events. Called
-// only when a registry or tracer is attached.
-func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
+// latency histograms, plus bank- and channel-lane trace events. reordered
+// marks an issue that passed an older queued entry. Called only when a
+// registry or tracer is attached.
+func (c *Controller) record(e Entry, reordered bool, res dram.Result) {
 	dom := int(e.Req.Domain)
 	c.mx.Inc(obs.CtrSchedPicks, 0)
-	if idx > 0 {
+	if reordered {
 		c.mx.Inc(obs.CtrSchedReorders, 0)
 	}
 	var kind obs.EventKind
@@ -354,7 +348,7 @@ func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
 	if c.tr != nil {
 		c.tr.Emit(obs.Event{
 			Cycle: res.Start, Dur: res.DataDone - res.Start,
-			Comp: obs.CompBank, Kind: kind, Index: int32(fb), Domain: int32(dom),
+			Comp: obs.CompBank, Kind: kind, Index: int32(c.mapper.FlatBank(e.Coord)), Domain: int32(dom),
 		})
 		c.tr.Emit(obs.Event{
 			Cycle: res.DataDone - c.burst, Dur: c.burst,
@@ -366,9 +360,7 @@ func (c *Controller) record(e Entry, idx int, res dram.Result, fb int) {
 func (c *Controller) drain(now uint64) []mem.Response {
 	c.out = c.out[:0]
 	for len(c.inflight) > 0 && c.inflight[0].at <= now {
-		done := c.inflight.pop()
-		c.perBank[c.mapper.FlatBank(c.mapper.Decode(done.resp.Addr))]--
-		c.out = append(c.out, done.resp)
+		c.out = append(c.out, c.inflight.pop().resp)
 	}
 	return c.out
 }
@@ -379,14 +371,14 @@ func (c *Controller) drain(now uint64) []mem.Response {
 // neither issue nor complete, so simulation drivers can skip them as long
 // as nothing is enqueued meanwhile.
 func (c *Controller) NextEvent(now uint64) (uint64, bool) {
-	if len(c.queue) == 0 && len(c.inflight) == 0 {
+	if c.queue.n == 0 && len(c.inflight) == 0 {
 		return 0, false
 	}
 	at := Never
 	if len(c.inflight) > 0 {
 		at = c.inflight[0].at
 	}
-	if len(c.queue) > 0 && c.wake < at {
+	if c.queue.n > 0 && c.wake < at {
 		at = c.wake
 	}
 	if at < now {
@@ -411,8 +403,8 @@ func (c *Controller) BytesForDomain(d mem.Domain) uint64 {
 // fails). Domains with no queued requests are absent from the map.
 func (c *Controller) QueueSnapshot() map[mem.Domain]int {
 	snap := make(map[mem.Domain]int)
-	for _, e := range c.queue {
-		snap[e.Req.Domain]++
+	for i := c.queue.head; i != none; i = c.queue.slots[i].next {
+		snap[c.queue.slots[i].Req.Domain]++
 	}
 	return snap
 }
@@ -430,8 +422,8 @@ func (c *Controller) NextCompletion() (uint64, bool) {
 // PendingForDomain counts queued requests belonging to the domain.
 func (c *Controller) PendingForDomain(d mem.Domain) int {
 	n := 0
-	for _, e := range c.queue {
-		if e.Req.Domain == d {
+	for i := c.queue.head; i != none; i = c.queue.slots[i].next {
+		if c.queue.slots[i].Req.Domain == d {
 			n++
 		}
 	}

@@ -173,8 +173,8 @@ func TestDomainFiltered(t *testing.T) {
 // wakeAt is a policy that never issues and always promises wake at.
 type wakeAt struct{ at uint64 }
 
-func (w wakeAt) Pick([]Entry, uint64, *dram.Device) (int, uint64) { return -1, w.at }
-func (wakeAt) Name() string                                       { return "wake-at" }
+func (w wakeAt) Pick(Queue, uint64, *dram.Device) (int, uint64) { return -1, w.at }
+func (wakeAt) Name() string                                     { return "wake-at" }
 
 func TestNextEvent(t *testing.T) {
 	c, m := testRig(FCFS{}, false)

@@ -14,14 +14,15 @@ type FCFS struct{}
 func (FCFS) Name() string { return "fcfs" }
 
 // Pick implements Scheduler. It wakes when the head's bank frees.
-func (FCFS) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
-	if len(q) == 0 {
+func (FCFS) Pick(q Queue, now uint64, dev *dram.Device) (int, uint64) {
+	head := q.Head()
+	if head < 0 {
 		return -1, Never
 	}
-	if free := dev.BankBusyUntil(q[0].Coord); free > now {
+	if free := dev.BankBusyUntil(q.Entry(head).Coord); free > now {
 		return -1, free
 	}
-	return 0, 0
+	return head, 0
 }
 
 // FRFCFS is first-ready FCFS, the insecure baseline policy: among
@@ -46,14 +47,14 @@ func (FRFCFS) Name() string { return "fr-fcfs" }
 // Pick implements Scheduler. Demand traffic outranks prefetch traffic;
 // within each class, row hits outrank older requests. It wakes at the
 // earliest cycle a bank of an eligible entry frees.
-func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
-	writes := 0
-	for i := range q {
-		if q[i].Req.Kind == mem.Write {
-			writes++
-		}
-	}
-	drainWrites := p.WritePressure > 0 && writes >= p.WritePressure
+//
+// The walk visits only banks holding eligible entries. A busy bank costs
+// one lookup. A free bank ranks its entries oldest first and stops at
+// the first rank-0 entry, so it yields its best (rank, arrival) pair; the
+// minimum over banks is the entry a scan of the whole queue in arrival
+// order would pick first.
+func (p FRFCFS) Pick(q Queue, now uint64, dev *dram.Device) (int, uint64) {
+	drainWrites := p.WritePressure > 0 && q.Writes() >= p.WritePressure
 	ageCap := p.AgeCap
 	if ageCap == 0 {
 		ageCap = defaultAgeCap
@@ -62,32 +63,39 @@ func (p FRFCFS) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
 	// row-hit, demand, prefetch row-hit, prefetch. Ties go to the oldest.
 	best := -1
 	bestRank := 5
+	var bestSeq uint64
 	wake := Never
-	for i := range q {
-		e := &q[i]
-		if drainWrites && e.Req.Kind != mem.Write {
+	for _, b := range q.Banks() {
+		i := q.BankHead(b)
+		for drainWrites && i >= 0 && q.Entry(i).Req.Kind != mem.Write {
+			i = q.BankNext(i)
+		}
+		if i < 0 {
 			continue
 		}
-		if free := dev.BankBusyUntil(e.Coord); free > now {
-			if free < wake {
-				wake = free
+		if free := dev.FlatBankBusyUntil(int(b)); free > now {
+			wake = min(wake, free)
+			continue
+		}
+		for ; i >= 0; i = q.BankNext(i) {
+			e := q.Entry(i)
+			if drainWrites && e.Req.Kind != mem.Write {
+				continue
 			}
-			continue
-		}
-		rank := 2
-		if e.Req.Prefetch {
-			rank = 4
-		}
-		if dev.RowOpen(e.Coord) {
-			rank--
-		}
-		age := now - e.Req.Arrival
-		if age > ageCap && (!e.Req.Prefetch || age > 4*ageCap) {
-			rank = 0
-		}
-		if rank < bestRank {
-			bestRank = rank
-			best = i
+			rank := 2
+			if e.Req.Prefetch {
+				rank = 4
+			}
+			if dev.RowOpen(e.Coord) {
+				rank--
+			}
+			age := now - e.Req.Arrival
+			if age > ageCap && (!e.Req.Prefetch || age > 4*ageCap) {
+				rank = 0
+			}
+			if rank < bestRank || (rank == bestRank && q.Seq(i) < bestSeq) {
+				best, bestRank, bestSeq = i, rank, q.Seq(i)
+			}
 			if rank == 0 {
 				break
 			}
@@ -107,24 +115,10 @@ type DomainFiltered struct {
 // Name implements Scheduler.
 func (d DomainFiltered) Name() string { return d.Inner.Name() + "+filter" }
 
-// Pick implements Scheduler. It wakes when the inner policy does; with no
-// allowed entry queued it waits for the queue to change.
-func (d DomainFiltered) Pick(q []Entry, now uint64, dev *dram.Device) (int, uint64) {
-	// Build the filtered view, then translate the inner pick back.
-	idxMap := make([]int, 0, len(q))
-	sub := make([]Entry, 0, len(q))
-	for i := range q {
-		if d.Allow(q[i].Req.Domain) {
-			idxMap = append(idxMap, i)
-			sub = append(sub, q[i])
-		}
-	}
-	if len(sub) == 0 {
-		return -1, Never
-	}
-	inner, wake := d.Inner.Pick(sub, now, dev)
-	if inner < 0 {
-		return -1, wake
-	}
-	return idxMap[inner], 0
+// Pick implements Scheduler. The inner policy sees the queue through the
+// filter, so the handle it returns needs no translation. It wakes when the
+// inner policy does; with no allowed entry queued it waits for the queue
+// to change.
+func (d DomainFiltered) Pick(q Queue, now uint64, dev *dram.Device) (int, uint64) {
+	return d.Inner.Pick(q.Filter(d.Allow), now, dev)
 }

@@ -22,8 +22,8 @@ type DomainBytes struct {
 }
 
 // ControllerState is the controller's full mutable state. Coordinates,
-// per-domain occupancy and per-bank in-flight counts are derived data,
-// recomputed on restore from the queue and in-flight sets.
+// the bank index and per-domain occupancy are derived data, recomputed
+// on restore from the queue.
 type ControllerState struct {
 	Queue    []mem.Request    `json:"queue"`
 	Inflight []CompletionSave `json:"inflight"`
@@ -34,8 +34,8 @@ type ControllerState struct {
 // SaveState captures the controller's full mutable state.
 func (c *Controller) SaveState() ControllerState {
 	st := ControllerState{Stats: c.stats}
-	for _, e := range c.queue {
-		st.Queue = append(st.Queue, e.Req)
+	for i := c.queue.head; i != none; i = c.queue.slots[i].next {
+		st.Queue = append(st.Queue, c.queue.slots[i].Req)
 	}
 	for _, f := range c.inflight {
 		st.Inflight = append(st.Inflight, CompletionSave{At: f.at, Resp: f.resp})
@@ -51,17 +51,18 @@ func (c *Controller) SaveState() ControllerState {
 }
 
 // RestoreState overwrites the controller's mutable state, recomputing every
-// derived structure (decoded coordinates, per-domain occupancy, per-bank
-// in-flight counts) and clearing the scheduler's wake cycle.
+// derived structure (decoded coordinates, the bank index, per-domain
+// occupancy) and clearing the scheduler's wake cycle.
 func (c *Controller) RestoreState(st ControllerState) error {
 	if len(st.Queue) > c.capacity {
 		return fmt.Errorf("memctrl: state queue depth %d exceeds capacity %d", len(st.Queue), c.capacity)
 	}
 	c.wake = 0
-	c.queue = c.queue[:0]
+	c.queue.reset()
 	clear(c.perDomain)
 	for _, req := range st.Queue {
-		c.queue = append(c.queue, Entry{Req: req, Coord: c.mapper.Decode(req.Addr)})
+		coord := c.mapper.Decode(req.Addr)
+		c.queue.push(Entry{Req: req, Coord: coord}, c.mapper.FlatBank(coord))
 		if c.domainCap > 0 {
 			c.perDomain = growFor(c.perDomain, req.Domain)
 			c.perDomain[req.Domain]++
@@ -72,13 +73,8 @@ func (c *Controller) RestoreState(st ControllerState) error {
 		}
 	}
 	c.inflight = c.inflight[:0]
-	for i := range c.perBank {
-		c.perBank[i] = 0
-	}
 	for _, f := range st.Inflight {
 		c.inflight = append(c.inflight, completion{at: f.At, resp: f.Resp})
-		fb := c.mapper.FlatBank(c.mapper.Decode(f.Resp.Addr))
-		c.perBank[fb]++
 	}
 	c.stats = st.Stats
 	clear(c.byDomain)

@@ -2,6 +2,7 @@ package rdag
 
 import (
 	"fmt"
+	"math"
 
 	"dagguise/internal/mem"
 )
@@ -41,6 +42,11 @@ type Slot struct {
 type Driver interface {
 	Poll(now uint64) []Slot
 	Complete(token int, now uint64)
+	// NextEmission returns the earliest cycle at which Poll may return a
+	// slot, provided no Complete arrives in between; math.MaxUint64 when
+	// every slot awaits a response. Polls before it return nothing and
+	// change nothing, so a caller may skip them.
+	NextEmission() uint64
 	// Outstanding reports how many emitted slots have not completed.
 	Outstanding() int
 	Reset()
@@ -116,6 +122,18 @@ func (d *PatternDriver) Poll(now uint64) []Slot {
 	}
 	d.out = out
 	return out
+}
+
+// NextEmission implements Driver: the earliest nextAt over the sequences
+// not waiting on a response.
+func (d *PatternDriver) NextEmission() uint64 {
+	next := uint64(math.MaxUint64)
+	for i := range d.seqs {
+		if s := &d.seqs[i]; !s.waiting && s.nextAt < next {
+			next = s.nextAt
+		}
+	}
+	return next
 }
 
 // Complete implements Driver: the response for sequence token returned at
@@ -209,6 +227,18 @@ func (d *GraphDriver) Poll(now uint64) []Slot {
 		out = append(out, Slot{Token: i, Bank: v.Bank, Kind: v.Kind})
 	}
 	return out
+}
+
+// NextEmission implements Driver: the earliest arrival over the vertices
+// not yet emitted whose predecessors have all completed.
+func (d *GraphDriver) NextEmission() uint64 {
+	next := uint64(math.MaxUint64)
+	for i := range d.g.Vertices {
+		if !d.emitted[i] && d.indeg[i] == 0 && d.readyAt[i] < next {
+			next = d.readyAt[i]
+		}
+	}
+	return next
 }
 
 // Complete implements Driver.

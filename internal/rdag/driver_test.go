@@ -1,6 +1,7 @@
 package rdag
 
 import (
+	"math/rand"
 	"testing"
 
 	"dagguise/internal/mem"
@@ -219,6 +220,51 @@ func TestDriversAreDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("slot %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestNextEmissionPredictsPoll drives each driver with responses that
+// return after random delays and checks NextEmission against Poll on
+// every cycle: a cycle before it yields no slot, and a cycle at or past
+// it yields at least one.
+func TestNextEmissionPredictsPoll(t *testing.T) {
+	g := &Graph{}
+	r := g.AddVertex(0, mem.Read)
+	a := g.AddVertex(1, mem.Write)
+	b := g.AddVertex(2, mem.Read)
+	g.AddEdge(r, a, 10)
+	g.AddEdge(r, b, 25)
+	drivers := map[string]Driver{
+		"pattern": MustPatternDriver(Template{Sequences: 3, Weight: 40, Banks: 4, WriteRatio: 0.2}),
+		"graph":   func() Driver { d, _ := NewGraphDriver(g, 15); return d }(),
+	}
+	for name, d := range drivers {
+		rnd := rand.New(rand.NewSource(4))
+		due := map[int]uint64{} // token -> response cycle
+		emissions := 0
+		for now := uint64(0); now < 20_000; now++ {
+			for tok, at := range due {
+				if at == now {
+					d.Complete(tok, now)
+					delete(due, tok)
+				}
+			}
+			next := d.NextEmission()
+			slots := d.Poll(now)
+			if now < next && len(slots) > 0 {
+				t.Fatalf("%s: cycle %d emitted %d slots before NextEmission %d", name, now, len(slots), next)
+			}
+			if now >= next && len(slots) == 0 {
+				t.Fatalf("%s: cycle %d is at or past NextEmission %d but emitted nothing", name, now, next)
+			}
+			for _, s := range slots {
+				due[s.Token] = now + 1 + uint64(rnd.Intn(60))
+				emissions++
+			}
+		}
+		if emissions < 100 {
+			t.Fatalf("%s: only %d emissions; the run does not exercise the driver", name, emissions)
 		}
 	}
 }

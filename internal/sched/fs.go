@@ -169,7 +169,7 @@ func (f *FixedService) slotBlockedByRefresh(slotStart uint64) bool {
 // can issue, guaranteeing an input-independent command schedule; the
 // wake cycle is always the next boundary, where the slot is counted
 // whether or not anything issues.
-func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (int, uint64) {
+func (f *FixedService) Pick(q memctrl.Queue, now uint64, dev *dram.Device) (int, uint64) {
 	slot := now / f.stride
 	next := (slot + 1) * f.stride
 	if slot != f.curSlot {
@@ -186,8 +186,8 @@ func (f *FixedService) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (in
 	}
 	owner := f.groups[slot%uint64(len(f.groups))]
 	bankGroup := int(slot % uint64(f.bankGroups))
-	for i := range q {
-		e := &q[i]
+	for i := q.Head(); i >= 0; i = q.Next(i) {
+		e := q.Entry(i)
 		if !owner.contains(e.Req.Domain) {
 			continue
 		}

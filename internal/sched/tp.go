@@ -19,9 +19,11 @@ type TemporalPartitioning struct {
 	groups []Group
 	turn   uint64 // CPU cycles per turn
 	dead   uint64 // no-issue window at the end of each turn
-	inner  memctrl.FRFCFS
 	stats  Stats
 	mx     *obs.Registry // observability (nil = off); measurement only
+	// turns[g] is FR-FCFS restricted to group g's domains, built once so
+	// a pick allocates nothing.
+	turns []memctrl.DomainFiltered
 
 	refi, rfc uint64 // refresh guard, as in FixedService
 }
@@ -41,11 +43,15 @@ func NewTemporalPartitioning(t config.DRAMTiming, groups []Group, turnDRAMCycles
 	if turn <= dead {
 		turn = dead * 2
 	}
-	return &TemporalPartitioning{
+	tp := &TemporalPartitioning{
 		groups: groups, turn: turn, dead: dead,
 		refi: uint64(t.TREFI * t.ClockRatio),
 		rfc:  uint64(t.TRFC * t.ClockRatio),
 	}
+	for _, g := range groups {
+		tp.turns = append(tp.turns, memctrl.DomainFiltered{Inner: memctrl.FRFCFS{}, Allow: g.contains})
+	}
+	return tp
 }
 
 // nearRefresh reports whether a transaction issued at now could overlap a
@@ -82,7 +88,7 @@ func (tp *TemporalPartitioning) Observe(mx *obs.Registry) { tp.mx = mx }
 // Pick implements memctrl.Scheduler. It wakes at the next turn, when the
 // owner changes, unless the owner's own traffic becomes ready sooner;
 // near a refresh it re-checks every cycle.
-func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (int, uint64) {
+func (tp *TemporalPartitioning) Pick(q memctrl.Queue, now uint64, dev *dram.Device) (int, uint64) {
 	pos := now % tp.turn
 	nextTurn := now - pos + tp.turn
 	if pos >= tp.turn-tp.dead {
@@ -91,9 +97,7 @@ func (tp *TemporalPartitioning) Pick(q []memctrl.Entry, now uint64, dev *dram.De
 	if tp.nearRefresh(now) {
 		return -1, now + 1
 	}
-	owner := tp.groups[(now/tp.turn)%uint64(len(tp.groups))]
-	filtered := memctrl.DomainFiltered{Inner: tp.inner, Allow: owner.contains}
-	idx, wake := filtered.Pick(q, now, dev)
+	idx, wake := tp.turns[(now/tp.turn)%uint64(len(tp.turns))].Pick(q, now, dev)
 	if idx < 0 {
 		return -1, min(wake, nextTurn)
 	}

@@ -16,7 +16,7 @@ import (
 // queued. It is the reference the wake-skipping controller must match.
 type everyCycle struct{ memctrl.Scheduler }
 
-func (e everyCycle) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (int, uint64) {
+func (e everyCycle) Pick(q memctrl.Queue, now uint64, dev *dram.Device) (int, uint64) {
 	idx, _ := e.Scheduler.Pick(q, now, dev)
 	return idx, now + 1
 }
@@ -29,7 +29,7 @@ type wakeProbe struct {
 	lastWake uint64
 }
 
-func (w *wakeProbe) Pick(q []memctrl.Entry, now uint64, dev *dram.Device) (int, uint64) {
+func (w *wakeProbe) Pick(q memctrl.Queue, now uint64, dev *dram.Device) (int, uint64) {
 	w.calls++
 	idx, wake := w.Scheduler.Pick(q, now, dev)
 	if idx < 0 {

@@ -189,6 +189,13 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 	return s.out
 }
 
+// NextEmission returns the first cycle at which Tick may emit, provided no
+// response reaches the shaper in between (math.MaxUint64 while every
+// defense-rDAG slot awaits a response). A Tick before it emits nothing
+// and changes no state; only the queue-occupancy histogram, when a
+// registry is attached, counts the call.
+func (s *Shaper) NextEmission() uint64 { return s.driver.NextEmission() }
+
 // rowOK checks a pending request against the slot's row relation, using
 // the row this shaper last opened in the slot's bank.
 func (s *Shaper) rowOK(slot rdag.Slot, row uint64) bool {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"dagguise/internal/audit"
 	"dagguise/internal/config"
@@ -48,13 +49,16 @@ type Cluster struct {
 	tenants []*clusterTenant
 	chans   []*channelUnit
 
-	// tenantWake is the first cycle at which some tenant may act: the
-	// earliest nextAt among tenants below the outstanding cap, or the
-	// next cycle while any tenant holds a pending request (its stall
-	// count advances every cycle). tickTenants skips the generator loop
-	// before it; deliver lowers it and RestoreState clears it. Derived
-	// state, never saved.
-	tenantWake uint64
+	// The tenant calendar. ready holds the tenants that can generate (no
+	// pending request, below the outstanding cap), keyed on (nextAt,
+	// index); waiting lists the tenants holding a pending request, in
+	// index order, because their stall count advances every cycle. The
+	// rest sit at the cap until deliver files them back. batch is the
+	// current cycle's tenants, reused. Derived state: RestoreState
+	// rebuilds it from the tenants.
+	ready   tenantHeap
+	waiting []int32
+	batch   []int32
 
 	// faults answers per-cycle fault queries (nil = clean run). Every
 	// query is keyed on (cycle, domain) only, so twin runs differing only
@@ -104,6 +108,10 @@ type channelUnit struct {
 	// deferred holds responses withheld by RespDelay/RespDrop faults,
 	// redelivered in insertion order once their cycle arrives.
 	deferred []DeferredResponse
+	// shaperWake is the first cycle at which some shaper may emit; no
+	// shaper ticks before it. A response reaching a shaper lowers it and
+	// RestoreState clears it. Derived state, never saved.
+	shaperWake uint64
 }
 
 // NewCluster builds a cluster over the channel slice [chanLo, chanHi) of
@@ -143,6 +151,7 @@ func NewCluster(cfg config.MultiChannelConfig, chanLo, chanHi int, seed int64, s
 			t.tap = audit.NewTap()
 		}
 		c.tenants = append(c.tenants, t)
+		c.file(t)
 	}
 	for ch := chanLo; ch < chanHi; ch++ {
 		mapper, err := mem.NewMapper(cfg.Geometry)
@@ -268,22 +277,31 @@ func (c *Cluster) issue(t *clusterTenant, req mem.Request) bool {
 	return true
 }
 
-// tickTenants advances every tenant's generator in index order, and
-// recomputes the tenant wake cycle on the way.
+// tickTenants advances the tenants that can act this cycle, in index
+// order: those holding a pending request retry it, and those whose
+// nextAt has come generate one. Every other tenant would do nothing, so
+// IDs, queue order and fault queries match a walk over all tenants.
 func (c *Cluster) tickTenants() {
-	if c.now < c.tenantWake {
+	batch := c.batch[:0]
+	for len(c.ready) > 0 && c.ready[0].at <= c.now {
+		batch = append(batch, c.ready.pop().index)
+	}
+	if len(batch) == 0 && len(c.waiting) == 0 {
 		return
 	}
-	wake := memctrl.Never
-	for _, t := range c.tenants {
-		switch {
-		case t.hasPending:
+	if batch = append(batch, c.waiting...); len(batch) > 1 {
+		slices.Sort(batch)
+	}
+	c.waiting = c.waiting[:0]
+	for _, i := range batch {
+		t := c.tenants[i]
+		if t.hasPending {
 			if c.issue(t, t.pending) {
 				t.hasPending = false
 			} else {
 				t.stalls++
 			}
-		case c.now >= t.nextAt && t.outstanding < clusterMaxOutstanding:
+		} else {
 			req := c.generate(t)
 			t.nextAt = c.now + c.gap(t)
 			if !c.issue(t, req) {
@@ -291,14 +309,21 @@ func (c *Cluster) tickTenants() {
 				t.stalls++
 			}
 		}
-		switch {
-		case t.hasPending:
-			wake = c.now + 1
-		case t.outstanding < clusterMaxOutstanding && t.nextAt < wake:
-			wake = t.nextAt
-		}
+		c.file(t)
 	}
-	c.tenantWake = wake
+	c.batch = batch
+}
+
+// file enters tenant t in the calendar by its state: waiting with a
+// pending request, ready below the outstanding cap, otherwise nowhere
+// until a delivery brings it below the cap.
+func (c *Cluster) file(t *clusterTenant) {
+	switch {
+	case t.hasPending:
+		c.waiting = append(c.waiting, int32(t.index))
+	case t.outstanding < clusterMaxOutstanding:
+		c.ready.push(tenantEvent{at: t.nextAt, index: int32(t.index)})
+	}
 }
 
 // deliver hands a completed response back to its tenant, recording the
@@ -312,9 +337,9 @@ func (c *Cluster) deliver(resp mem.Response) {
 	t := c.tenants[idx]
 	if t.outstanding > 0 {
 		t.outstanding--
-	}
-	if t.nextAt < c.tenantWake {
-		c.tenantWake = t.nextAt
+		if t.outstanding == clusterMaxOutstanding-1 && !t.hasPending {
+			c.file(t) // back below the cap
+		}
 	}
 	t.completed++
 	if t.tap != nil {
@@ -342,8 +367,13 @@ func (c *Cluster) tickChannel(u *channelUnit) {
 		}
 		u.deferred = kept
 	}
-	for _, sh := range u.shapers {
-		u.egress = append(u.egress, sh.Tick(c.now)...)
+	if c.now >= u.shaperWake {
+		wake := memctrl.Never
+		for _, sh := range u.shapers {
+			u.egress = append(u.egress, sh.Tick(c.now)...)
+			wake = min(wake, sh.NextEmission())
+		}
+		u.shaperWake = wake
 	}
 	for len(u.egress) > 0 {
 		if c.faults != nil && c.faults.EgressStalled(u.egress[0].Domain, c.now) {
@@ -372,10 +402,12 @@ func (c *Cluster) tickChannel(u *channelUnit) {
 func (c *Cluster) dispatch(u *channelUnit, resp mem.Response) {
 	idx := int(resp.Domain) - 1
 	if c.cfg.Scheme == config.DAGguise && idx >= 0 && idx < c.cfg.Protected {
-		real, err := u.shapers[idx].OnResponse(resp, c.now)
+		sh := u.shapers[idx]
+		real, err := sh.OnResponse(resp, c.now)
 		if err != nil {
 			panic(err)
 		}
+		u.shaperWake = min(u.shaperWake, sh.NextEmission())
 		if real {
 			c.deliver(resp)
 		}
@@ -469,4 +501,65 @@ func (c *Cluster) Counters() ClusterCounters {
 		}
 	}
 	return out
+}
+
+// tenantEvent is a ready tenant's calendar entry: the cycle it generates
+// its next request.
+type tenantEvent struct {
+	at    uint64
+	index int32
+}
+
+func (a tenantEvent) before(b tenantEvent) bool {
+	return a.at < b.at || (a.at == b.at && a.index < b.index)
+}
+
+// tenantHeap is a min-heap of calendar entries on (at, index).
+type tenantHeap []tenantEvent
+
+func (h *tenantHeap) push(x tenantEvent) {
+	*h = append(*h, x)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q[j].before(q[i]) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop removes the earliest entry. The hole left at the root walks down
+// along the earlier children to a leaf, and the last entry sifts up from
+// there: one comparison per level on the way down, where a plain sift
+// needs two, and the last entry rarely climbs far.
+func (h *tenantHeap) pop() tenantEvent {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && q[j+1].before(q[j]) {
+			j++
+		}
+		q[i] = q[j]
+		i = j
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !last.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = last
+	*h = q[:n]
+	return top
 }

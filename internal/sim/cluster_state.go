@@ -140,7 +140,6 @@ func (c *Cluster) RestoreState(st *ClusterState) error {
 	if len(st.Chans) != len(c.chans) {
 		return fmt.Errorf("sim: cluster state has %d channels, cluster %d", len(st.Chans), len(c.chans))
 	}
-	c.tenantWake = 0
 	for i, ts := range st.Tenants {
 		t := c.tenants[i]
 		if ts.Index != t.index {
@@ -180,6 +179,7 @@ func (c *Cluster) RestoreState(st *ClusterState) error {
 		if err := u.ctrl.RestoreState(cs.Controller); err != nil {
 			return err
 		}
+		u.shaperWake = 0
 		u.egress = append(u.egress[:0], cs.Egress...)
 		u.deferred = append(u.deferred[:0], cs.Deferred...)
 		for j, ss := range cs.Shapers {
@@ -191,5 +191,9 @@ func (c *Cluster) RestoreState(st *ClusterState) error {
 	c.now = st.Now
 	c.nextID = st.NextID
 	c.faultDeferred = st.FaultDeferred
+	c.ready, c.waiting = c.ready[:0], c.waiting[:0]
+	for _, t := range c.tenants {
+		c.file(t)
+	}
 	return nil
 }

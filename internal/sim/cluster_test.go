@@ -201,12 +201,13 @@ func TestClusterRejectsUnsupportedScheme(t *testing.T) {
 }
 
 // TestClusterCheckpointInsideSkippedSpan cuts a checkpoint at a cycle the
-// wake-skipping fast paths are jumping over: the tenant loop is asleep
-// and some channel holds queued work its scheduler will not look at yet.
-// The wake cycles are not part of the state, so the restore must rebuild
-// the same future from scratch: restored into a fresh cluster and into
-// one that has already run elsewhere, the continuation must end in the
-// same state bytes and audit digest as the uninterrupted run.
+// event-driven paths are jumping over: no tenant is due, and some
+// channel holds queued work its scheduler will not look at yet. The
+// calendar and the wake cycles are not part of the state, so the restore
+// must rebuild the same future from scratch: restored into a fresh
+// cluster and into one that has already run elsewhere, the continuation
+// must end in the same state bytes and audit digest as the uninterrupted
+// run.
 func TestClusterCheckpointInsideSkippedSpan(t *testing.T) {
 	const total = 16000
 	for _, scheme := range []config.Scheme{config.Insecure, config.DAGguise} {
@@ -232,18 +233,6 @@ func TestClusterCheckpointInsideSkippedSpan(t *testing.T) {
 		ref := build()
 		ref.Run(total)
 		wantState, wantDigest := encode(ref), ref.AuditDigest()
-
-		skipping := func(c *Cluster) bool {
-			if c.now >= c.tenantWake {
-				return false
-			}
-			for _, u := range c.chans {
-				if at, ok := u.ctrl.NextEvent(c.now); ok && u.ctrl.QueueLen() > 0 && at > c.now {
-					return true
-				}
-			}
-			return false
-		}
 		cut := build()
 		for cut.Run(3000); !skipping(cut); cut.Tick() {
 			if cut.Now() >= total/2 {
@@ -281,13 +270,43 @@ func TestClusterCheckpointInsideSkippedSpan(t *testing.T) {
 	}
 }
 
-// TestClusterTenantWakeMatchesEveryCycle pins the tenant wake against the
-// loop it replaces: a reference cluster whose wake is cleared before every
-// cycle runs the generator loop each cycle, as the machine did before the
-// wake existed. Under a fault campaign, the default shape mostly sleeps
-// between requests, while a one-deep queue shared by 24 tenants keeps
-// them stalled on full queues and shaper backpressure — the pending path,
-// whose stall count advances every cycle.
+// tickEveryCycle advances c one cycle the way the machine ran before its
+// tenant calendar and shaper wakes: the generator loop walks every
+// tenant in index order, and every shaper ticks. It is the reference the
+// event-driven Tick must match. The calendar is emptied first, since
+// this loop neither reads nor maintains it.
+func tickEveryCycle(c *Cluster) {
+	c.ready, c.waiting = c.ready[:0], c.waiting[:0]
+	for _, t := range c.tenants {
+		switch {
+		case t.hasPending:
+			if c.issue(t, t.pending) {
+				t.hasPending = false
+			} else {
+				t.stalls++
+			}
+		case c.now >= t.nextAt && t.outstanding < clusterMaxOutstanding:
+			req := c.generate(t)
+			t.nextAt = c.now + c.gap(t)
+			if !c.issue(t, req) {
+				t.pending, t.hasPending = req, true
+				t.stalls++
+			}
+		}
+	}
+	for _, u := range c.chans {
+		u.shaperWake = 0
+		c.tickChannel(u)
+	}
+	c.now++
+}
+
+// TestClusterTenantWakeMatchesEveryCycle pins the tenant calendar and the
+// shaper wakes against the loops they replace (tickEveryCycle). Under a
+// fault campaign, the default shape mostly sleeps between requests,
+// while a one-deep queue shared by 24 tenants keeps them stalled on full
+// queues and shaper backpressure — the pending path, whose stall count
+// advances every cycle. State bytes are compared every 1000 cycles.
 func TestClusterTenantWakeMatchesEveryCycle(t *testing.T) {
 	const total = 20000
 	shapes := []struct {
@@ -300,7 +319,7 @@ func TestClusterTenantWakeMatchesEveryCycle(t *testing.T) {
 			if sh.depth > 0 {
 				cfg.QueueDepth = sh.depth
 			}
-			run := func(everyCycle bool) (*Cluster, []byte) {
+			build := func() *Cluster {
 				c, err := NewCluster(cfg, 0, sh.channels, 17, 11)
 				if err != nil {
 					t.Fatal(err)
@@ -308,12 +327,9 @@ func TestClusterTenantWakeMatchesEveryCycle(t *testing.T) {
 				if err := c.AttachFaults(clusterFaultSched(total)); err != nil {
 					t.Fatal(err)
 				}
-				for c.Now() < total {
-					if everyCycle {
-						c.tenantWake = 0
-					}
-					c.Tick()
-				}
+				return c
+			}
+			encode := func(c *Cluster) []byte {
 				st, err := c.SaveState()
 				if err != nil {
 					t.Fatal(err)
@@ -322,13 +338,16 @@ func TestClusterTenantWakeMatchesEveryCycle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return c, b
+				return b
 			}
-			ref, want := run(true)
-			got, blob := run(false)
 			name := fmt.Sprintf("%s %dch/%dt", scheme, sh.channels, sh.domains)
-			if string(blob) != string(want) {
-				t.Fatalf("%s: state with tenant wake differs from the every-cycle loop", name)
+			ref, got := build(), build()
+			for got.Now() < total {
+				tickEveryCycle(ref)
+				got.Tick()
+				if got.Now()%1000 == 0 && string(encode(got)) != string(encode(ref)) {
+					t.Fatalf("%s: state at cycle %d differs from the every-cycle loop", name, got.Now())
+				}
 			}
 			if a, b := got.AuditDigest(), ref.AuditDigest(); a != b {
 				t.Fatalf("%s: digest %s, want %s", name, a, b)
