@@ -14,7 +14,6 @@ import (
 	"dagguise/internal/fault"
 	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
-	"dagguise/internal/runner"
 	"dagguise/internal/telem"
 )
 
@@ -57,25 +56,16 @@ func registerFleetFlags() *fleetFlags {
 // supervision, print per-scheme verdicts, enforce the audit gate. Exit
 // codes match campaign mode: 0 clean, 1 failure, 2 usage, 3 interrupted
 // (resumable by re-running with the same flags and -checkpoint-dir).
-func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, cycles uint64,
-	dir string, every uint64, retries int, timeout time.Duration,
-	out, traceOut string, wantSpans, metrics bool) int {
-	if campaigns <= 0 {
-		fmt.Fprintln(os.Stderr, "dagchaos: fleet mode needs -campaigns >= 1")
-		return 2
-	}
-	seeds := make([]int64, campaigns)
-	for i := range seeds {
-		seeds[i] = baseSeed + int64(i)
-	}
-	sweep := fleet.DefaultSweep(f.channels, f.domains, seeds, cycles)
+func runFleet(f *fleetFlags, c *flags) int {
+	dir := c.ckptDir
+	sweep := fleet.DefaultSweep(f.channels, f.domains, seeds(c), c.cycles)
 	sweep.FaultEvents = f.faultEvents
-	switch schemeFlag {
+	switch c.scheme {
 	case "all":
 	case "insecure", "dagguise":
-		sweep.Schemes = []string{schemeFlag}
+		sweep.Schemes = []string{c.scheme}
 	default:
-		fmt.Fprintf(os.Stderr, "dagchaos: fleet mode simulates only -scheme all, insecure or dagguise (got %q)\n", schemeFlag)
+		fmt.Fprintf(os.Stderr, "dagchaos: fleet mode simulates only -scheme all, insecure or dagguise (got %q)\n", c.scheme)
 		return 2
 	}
 	// -shards is the slice count per cell; the sweep wants the slice width.
@@ -91,8 +81,7 @@ func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, c
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "dagchaos-fleet-*")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
+			return failed(err)
 		}
 		defer os.RemoveAll(tmp)
 		fmt.Fprintf(os.Stderr, "dagchaos: no -checkpoint-dir; using throwaway manifest dir %s (not resumable)\n", tmp)
@@ -113,38 +102,32 @@ func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, c
 		}
 		inj, err := fault.NewFSInjector(fault.FSCampaign(f.fsChaos, ops, f.fsChaosEvents))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
+			return failed(err)
 		}
 		fsInj = inj
 	}
 
 	var mx *obs.Registry
-	if metrics || f.promOut != "" {
+	if c.metrics || f.promOut != "" {
 		mx = obs.NewRegistry(1)
 	}
 	var tr *obs.Tracer
-	if traceOut != "" {
+	if c.traceOut != "" {
 		tr = obs.NewTracer(0)
 	}
 	var sp *obs.Spans
-	if wantSpans {
+	if c.spans {
 		sp = obs.NewSpans(tr)
 	}
 
-	ctx, stop := runner.WithSignals(context.Background())
+	ctx, stop := signalContext(c.timeout)
 	defer stop()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
 
 	rep, err := fleet.Run(ctx, sweep, fleet.Options{
 		Workers:         f.workers,
 		Dir:             dir,
-		CheckpointEvery: every,
-		Retries:         retries,
+		CheckpointEvery: c.ckptEvery,
+		Retries:         c.retries,
 		Backoff:         100 * time.Millisecond,
 		MaxBackoff:      5 * time.Second,
 		Log:             os.Stderr,
@@ -160,8 +143,7 @@ func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, c
 			fmt.Fprintf(os.Stderr, "dagchaos: fleet interrupted (%v); manifest saved, rerun with the same flags and -checkpoint-dir %s to resume\n", err, dir)
 			return 3
 		}
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
+		return failed(err)
 	}
 
 	for _, v := range rep.Verdicts {
@@ -176,30 +158,27 @@ func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, c
 		fmt.Printf("%s  %-10s shards=%-3d %s\n", status, v.Scheme, v.Shards, verdict)
 	}
 	fmt.Printf("fleet: %d shards, %d tenants x %d channels, %d cycles each, %d requests completed\n",
-		rep.Totals.Shards, f.domains, f.channels, cycles, rep.Totals.Completed)
+		rep.Totals.Shards, f.domains, f.channels, c.cycles, rep.Totals.Completed)
 
-	if out != "" {
+	if c.out != "" {
 		blob, err := rep.Encode()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
+			return failed(err)
 		}
-		if err := ckpt.WriteFileAtomic(out, blob); err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
+		if err := ckpt.WriteFileAtomic(c.out, blob); err != nil {
+			return failed(err)
 		}
-		fmt.Fprintf(os.Stderr, "dagchaos: wrote fleet report to %s\n", out)
+		fmt.Fprintf(os.Stderr, "dagchaos: wrote fleet report to %s\n", c.out)
 	}
-	if metrics {
+	if c.metrics {
 		fmt.Println()
 		fmt.Print(obs.FormatSummary(mx.Snapshot(), 0))
 	}
 	if tr != nil {
-		if err := obs.WriteChromeTraceFile(traceOut, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "dagchaos:", err)
-			return 1
+		if err := obs.WriteChromeTraceFile(c.traceOut, tr); err != nil {
+			return failed(err)
 		}
-		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), traceOut)
+		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), c.traceOut)
 	}
 	if f.telemDir != "" {
 		if code := writeTelemReport(f.telemDir); code != 0 {
@@ -212,8 +191,7 @@ func runFleet(f *fleetFlags, schemeFlag string, campaigns int, baseSeed int64, c
 		}
 	}
 	if err := rep.Gate(); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
+		return failed(err)
 	}
 	return 0
 }
@@ -256,21 +234,17 @@ func writeTelemReport(telemDir string) int {
 func writeFleetProm(out, manifestDir string, mx *obs.Registry) int {
 	var buf bytes.Buffer
 	if err := obs.WritePrometheus(&buf, mx.Snapshot(), ""); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
+		return failed(err)
 	}
 	m, err := fleet.LoadManifest(filepath.Join(manifestDir, fleet.ManifestName))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
+		return failed(err)
 	}
 	if err := fleet.WriteShardPrometheus(&buf, m.Records); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
+		return failed(err)
 	}
 	if err := ckpt.WriteFileAtomic(out, buf.Bytes()); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos:", err)
-		return 1
+		return failed(err)
 	}
 	fmt.Fprintf(os.Stderr, "dagchaos: wrote fleet metrics to %s\n", out)
 	return 0

@@ -11,11 +11,11 @@
 // attacker-observable response timing streams under the identical fault
 // schedule.
 //
-// Campaigns run under the supervised runner (internal/runner): SIGINT,
-// SIGTERM or -timeout stop the sweep at a cycle boundary, checkpoint the
-// running job and persist a resume manifest; rerunning with -resume
-// continues exactly where the kill landed and produces byte-identical
-// results to an uninterrupted sweep.
+// Each (scheme, seed) campaign is a shard of a one-process fleet
+// (internal/fleet, box kind): SIGINT, SIGTERM or -timeout stop the sweep
+// at the last checkpoint boundary and leave a resume manifest in
+// -checkpoint-dir; rerunning with -resume continues from there and
+// produces byte-identical results to an uninterrupted sweep.
 //
 // Usage:
 //
@@ -24,7 +24,7 @@
 //	dagchaos -scheme dagguise         # one scheme only
 //	dagchaos -cycles 200000           # longer runs
 //	dagchaos -fail-trace fail.json    # Perfetto postmortem of the first failure
-//	dagchaos -spans -trace-out t.json # nested job/chunk spans in the export
+//	dagchaos -spans -trace-out t.json # one span per campaign attempt in the export
 //	dagchaos -cycle-profile           # per-component cycle-attribution table
 //	dagchaos -checkpoint-dir state -checkpoint-every 50000 -out results.json
 //	dagchaos -checkpoint-dir state -resume -out results.json   # after a kill
@@ -50,9 +50,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -62,426 +59,328 @@ import (
 	"strings"
 	"time"
 
-	"dagguise/internal/audit"
 	"dagguise/internal/ckpt"
 	"dagguise/internal/config"
-	"dagguise/internal/fault"
-	"dagguise/internal/mem"
+	"dagguise/internal/fleet"
 	"dagguise/internal/obs"
 	"dagguise/internal/runner"
 	"dagguise/internal/sim"
-	"dagguise/internal/trace"
-	"dagguise/internal/victim"
-	"dagguise/internal/workload"
 )
 
-var schemes = []struct {
-	name   string
-	scheme config.Scheme
-}{
-	{"insecure", config.Insecure},
-	{"fs", config.FixedService},
-	{"fs-bta", config.FSBTA},
-	{"tp", config.TemporalPartitioning},
-	{"camouflage", config.Camouflage},
-	{"dagguise", config.DAGguise},
-}
+// schemes lists the tortured schemes in sweep order.
+var schemes = []string{"insecure", "fs", "fs-bta", "tp", "camouflage", "dagguise"}
 
-// jobMeta carries what the verdict printer and fail-trace replayer need to
-// know about each supervised job.
-type jobMeta struct {
-	schemeName string
-	scheme     config.Scheme
-	seed       int64
-	secret     int64
-	pair       string // twin job name for the non-interference compare
-	sched      fault.Schedule
-}
-
-// jobOutput is one job's deterministic result payload: state-derived only,
-// so an interrupted-and-resumed sweep reproduces it byte for byte.
-type jobOutput struct {
-	Scheme       string   `json:"scheme"`
-	Seed         int64    `json:"seed"`
-	Secret       int64    `json:"secret,omitempty"`
-	Cycle        uint64   `json:"cycle"`
-	Instructions []uint64 `json:"instructions"`
-	TapSamples   int      `json:"tap_samples,omitempty"`
-	TapSHA       string   `json:"tap_sha256,omitempty"`
+// flags holds the campaign-mode flags; fleet mode shares the sweep shape
+// and persistence flags.
+type flags struct {
+	campaigns int
+	seed      int64
+	cycles    uint64
+	events    int
+	scheme    string
+	app       string
+	metrics   bool
+	traceOut  string
+	failTrace string
+	pprof     string
+	ckptDir   string
+	ckptEvery uint64
+	resume    bool
+	timeout   time.Duration
+	retries   int
+	out       string
+	spans     bool
+	cycleProf bool
 }
 
 func main() {
-	campaigns := flag.Int("campaigns", 10, "number of fault campaigns per scheme")
-	baseSeed := flag.Int64("seed", 1, "base campaign seed (campaign i uses seed+i)")
-	cycles := flag.Uint64("cycles", 120_000, "cycles per run")
-	events := flag.Int("events", 12, "fault events per campaign")
-	schemeFlag := flag.String("scheme", "all", "scheme to torture: all, insecure, fs, fs-bta, tp, camouflage, dagguise")
-	app := flag.String("app", "lbm", "co-runner workload")
-	metrics := flag.Bool("metrics", false, "print the per-domain observability metrics table after the sweep")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of all campaigns to this path")
-	failTrace := flag.String("fail-trace", "", "dump a Perfetto-viewable event trace of the first failing seed to this path")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for checkpoints and the resume manifest (empty = no persistence)")
-	ckptEvery := flag.Uint64("checkpoint-every", 50_000, "auto-checkpoint cadence in cycles (with -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume a previously interrupted sweep from -checkpoint-dir")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry the running job checkpoints and the sweep exits resumably")
-	retries := flag.Int("retries", 0, "supervised retries per job after a watchdog trip")
-	out := flag.String("out", "", "write the deterministic sweep results as JSON to this path")
-	spansFlag := flag.Bool("spans", false, "record runner job/chunk spans (exported with -trace-out; IDs survive checkpoint resume)")
-	cycleProfFlag := flag.Bool("cycle-profile", false, "print the per-component cycle-attribution table after the sweep")
+	var f flags
+	flag.IntVar(&f.campaigns, "campaigns", 10, "number of fault campaigns per scheme")
+	flag.Int64Var(&f.seed, "seed", 1, "base campaign seed (campaign i uses seed+i)")
+	flag.Uint64Var(&f.cycles, "cycles", 120_000, "cycles per run")
+	flag.IntVar(&f.events, "events", 12, "fault events per campaign")
+	flag.StringVar(&f.scheme, "scheme", "all", "scheme to torture: all, insecure, fs, fs-bta, tp, camouflage, dagguise")
+	flag.StringVar(&f.app, "app", "lbm", "co-runner workload")
+	flag.BoolVar(&f.metrics, "metrics", false, "print the per-domain observability metrics table after the sweep")
+	flag.StringVar(&f.traceOut, "trace-out", "", "write a Chrome trace-event JSON of all campaigns to this path")
+	flag.StringVar(&f.failTrace, "fail-trace", "", "dump a Perfetto-viewable event trace of the first failing seed to this path")
+	flag.StringVar(&f.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	flag.StringVar(&f.ckptDir, "checkpoint-dir", "", "directory for checkpoints and the resume manifest (empty = no persistence)")
+	flag.Uint64Var(&f.ckptEvery, "checkpoint-every", 50_000, "auto-checkpoint cadence in cycles (with -checkpoint-dir)")
+	flag.BoolVar(&f.resume, "resume", false, "resume a previously interrupted sweep from -checkpoint-dir")
+	flag.DurationVar(&f.timeout, "timeout", 0, "wall-clock budget for the sweep (0 = none); on expiry the sweep stops at its last checkpoint and exits resumably")
+	flag.IntVar(&f.retries, "retries", 0, "supervised retries per campaign after a watchdog trip")
+	flag.StringVar(&f.out, "out", "", "write the deterministic sweep results as JSON to this path")
+	flag.BoolVar(&f.spans, "spans", false, "record one span per campaign attempt (exported with -trace-out)")
+	flag.BoolVar(&f.cycleProf, "cycle-profile", false, "print the per-component cycle-attribution table after the sweep")
 	topts := registerTrafficFlags()
 	fopts := registerFleetFlags()
 	flag.Parse()
 
-	// -target switches dagchaos from torturing the simulator to torturing
-	// a running dagauditd instance (see traffic.go).
-	if topts.target != "" {
-		os.Exit(runTraffic(topts, *baseSeed))
+	switch {
+	case topts.target != "":
+		// -target switches dagchaos from torturing the simulator to
+		// torturing a running dagauditd instance (see traffic.go).
+		os.Exit(runTraffic(topts, f.seed))
+	case f.campaigns <= 0:
+		fmt.Fprintln(os.Stderr, "dagchaos: -campaigns must be >= 1")
+		os.Exit(2)
+	case fopts.shards > 0:
+		// -shards switches dagchaos to fleet mode: a sharded
+		// multi-channel, many-tenant non-interference sweep over a
+		// worker pool (see fleet.go).
+		os.Exit(runFleet(fopts, &f))
 	}
-	// -shards switches dagchaos to fleet mode: a sharded multi-channel,
-	// many-tenant non-interference sweep over a worker pool (see fleet.go).
-	if fopts.shards > 0 {
-		os.Exit(runFleet(fopts, *schemeFlag, *campaigns, *baseSeed, *cycles,
-			*ckptDir, *ckptEvery, *retries, *timeout,
-			*out, *traceOut, *spansFlag, *metrics))
-	}
+	os.Exit(runCampaigns(&f))
+}
 
-	if *pprofAddr != "" {
-		addr, err := obs.ServePprof(*pprofAddr)
+// runCampaigns is the campaign-mode main: every (scheme, seed) campaign
+// is a box shard of a one-worker fleet. Exit codes: 0 clean, 1 failure,
+// 2 usage, 3 interrupted (resumable with -resume).
+func runCampaigns(f *flags) int {
+	if f.pprof != "" {
+		addr, err := obs.ServePprof(f.pprof)
 		if err != nil {
-			fatal(err)
+			return failed(err)
 		}
 		fmt.Fprintf(os.Stderr, "dagchaos: pprof at http://%s/debug/pprof/\n", addr)
 	}
 	var mx *obs.Registry
 	var tr *obs.Tracer
-	if *metrics {
+	if f.metrics {
 		mx = obs.NewRegistry(3) // two cores + the system-wide slot
 	}
-	if *traceOut != "" {
+	if f.traceOut != "" {
 		tr = obs.NewTracer(0)
 	}
 	var sp *obs.Spans
-	if *spansFlag {
-		sp = obs.NewSpans(tr) // tr may be nil: IDs still thread through the runner
+	if f.spans {
+		sp = obs.NewSpans(tr)
 	}
 	var prof *obs.CycleProfile
-	if *cycleProfFlag {
+	if f.cycleProf {
 		prof = obs.NewCycleProfile()
 	}
 	profStart := time.Now()
 
-	if *schemeFlag != "all" {
-		known := false
-		for _, sc := range schemes {
-			known = known || sc.name == *schemeFlag
-		}
-		if !known {
-			names := make([]string, 0, len(schemes))
-			for _, sc := range schemes {
-				names = append(names, sc.name)
-			}
-			fmt.Fprintf(os.Stderr, "dagchaos: unknown scheme %q (use all, %s)\n", *schemeFlag, strings.Join(names, ", "))
-			os.Exit(2)
-		}
+	sweep := fleet.Sweep{
+		Kind:        fleet.KindBox,
+		Schemes:     schemes,
+		Seeds:       seeds(f),
+		Cycles:      f.cycles,
+		SecretA:     11,
+		SecretB:     12,
+		FaultEvents: f.events,
+		App:         f.app,
 	}
-	if *resume && *ckptDir == "" {
+	if f.scheme != "all" {
+		if _, err := config.ParseScheme(f.scheme); err != nil {
+			fmt.Fprintf(os.Stderr, "dagchaos: unknown scheme %q (use all, %s)\n", f.scheme, strings.Join(schemes, ", "))
+			return 2
+		}
+		sweep.Schemes = []string{f.scheme}
+	}
+	if f.resume && f.ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "dagchaos: -resume needs -checkpoint-dir")
-		os.Exit(2)
+		return 2
 	}
-	if *ckptDir != "" && !*resume {
-		if _, err := os.Stat(filepath.Join(*ckptDir, runner.ManifestName)); err == nil {
-			fmt.Fprintf(os.Stderr, "dagchaos: %s already holds a manifest; pass -resume to continue it or remove the directory\n", *ckptDir)
-			os.Exit(2)
+	if f.ckptDir != "" && !f.resume {
+		if _, err := os.Stat(filepath.Join(f.ckptDir, fleet.ManifestName)); err == nil {
+			fmt.Fprintf(os.Stderr, "dagchaos: %s already holds a manifest; pass -resume to continue it or remove the directory\n", f.ckptDir)
+			return 2
 		}
 	}
-
-	jobs, metas := buildJobs(*schemeFlag, *campaigns, *baseSeed, *cycles, *events, *app, mx, tr, prof)
-
-	ctx, stop := runner.WithSignals(context.Background())
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	r := runner.New(runner.Config{
-		Dir:     *ckptDir,
-		Every:   *ckptEvery,
-		Retries: *retries,
-		Seed:    *baseSeed,
-		Log:     os.Stderr,
-		Spans:   sp,
-	})
-	records, err := r.Run(ctx, jobs)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			fmt.Fprintf(os.Stderr, "dagchaos: interrupted (%v); state saved, rerun with -checkpoint-dir %s -resume to continue\n", err, *ckptDir)
-			os.Exit(3)
-		}
-		fatal(err)
-	}
-
-	failures := report(records, metas, *cycles, *app, *failTrace)
-
-	if *out != "" {
-		data, err := resultsJSON(records, metas)
+	dir, every := f.ckptDir, f.ckptEvery
+	if dir == "" {
+		// Without persistence the fleet still needs a directory, but
+		// cuts no mid-campaign checkpoints.
+		tmp, err := os.MkdirTemp("", "dagchaos-*")
 		if err != nil {
-			fatal(err)
+			return failed(err)
 		}
-		if err := ckpt.WriteFileAtomic(*out, data); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dagchaos: wrote results to %s\n", *out)
+		defer os.RemoveAll(tmp)
+		dir, every = tmp, 0
 	}
-	if *metrics {
+
+	ctx, stop := signalContext(f.timeout)
+	defer stop()
+	_, err := fleet.Run(ctx, sweep, fleet.Options{
+		Workers:         1,
+		Dir:             dir,
+		CheckpointEvery: every,
+		Retries:         f.retries,
+		Backoff:         50 * time.Millisecond,
+		MaxBackoff:      2 * time.Second,
+		Log:             os.Stderr,
+		Spans:           sp,
+		Attach: func(sys *sim.System) {
+			if mx != nil || tr != nil {
+				sys.Observe(mx, tr)
+			}
+			sys.Profile(prof)
+		},
+	})
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		fmt.Fprintf(os.Stderr, "dagchaos: interrupted (%v); state saved, rerun with -checkpoint-dir %s -resume to continue\n", err, f.ckptDir)
+		return 3
+	case err != nil && !errors.Is(err, fleet.ErrShardsIncomplete):
+		return failed(err)
+	}
+	// The manifest lists every campaign in sweep order, failed ones too.
+	m, err := fleet.LoadManifest(filepath.Join(dir, fleet.ManifestName))
+	if err != nil {
+		return failed(err)
+	}
+
+	failures := report(sweep, m, f.failTrace)
+
+	if f.out != "" {
+		data, err := resultsJSON(m)
+		if err == nil {
+			err = ckpt.WriteFileAtomic(f.out, data)
+		}
+		if err != nil {
+			return failed(err)
+		}
+		fmt.Fprintf(os.Stderr, "dagchaos: wrote results to %s\n", f.out)
+	}
+	if f.metrics {
 		fmt.Println()
 		fmt.Print(obs.FormatSummary(mx.Snapshot(), 0))
 	}
 	if prof != nil {
 		var ticks uint64
-		for _, rec := range records {
-			ticks += rec.Cycles
+		for _, rec := range m.Records {
+			if rec.Result != nil {
+				ticks += rec.Result.Cycles * uint64(len(rec.Result.Runs))
+			}
 		}
 		fmt.Println()
 		fmt.Print(prof.Report(time.Since(profStart), ticks).String())
 	}
 	if tr != nil {
-		if err := obs.WriteChromeTraceFile(*traceOut, tr); err != nil {
-			fatal(err)
+		if err := obs.WriteChromeTraceFile(f.traceOut, tr); err != nil {
+			return failed(err)
 		}
-		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), *traceOut)
+		fmt.Fprintf(os.Stderr, "dagchaos: wrote %d trace events to %s\n", tr.Len(), f.traceOut)
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "dagchaos: %d campaign(s) failed\n", failures)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// buildJobs lays out the supervised job list: one job per (scheme, seed),
-// plus a secret-12 twin for every DAGguise campaign so non-interference is
-// checked from two independently checkpointable runs.
-func buildJobs(schemeFlag string, campaigns int, baseSeed int64, cycles uint64, events int, app string, mx *obs.Registry, tr *obs.Tracer, prof *obs.CycleProfile) ([]runner.Job, map[string]jobMeta) {
-	var jobs []runner.Job
-	metas := make(map[string]jobMeta)
-	add := func(name string, m jobMeta) {
-		metas[name] = m
-		jobs = append(jobs, makeJob(name, m, cycles, app, mx, tr, prof))
+// seeds lists the sweep's campaign seeds: -seed, -seed+1, ...
+func seeds(f *flags) []int64 {
+	out := make([]int64, f.campaigns)
+	for i := range out {
+		out[i] = f.seed + int64(i)
 	}
-	for _, sc := range schemes {
-		if schemeFlag != "all" && schemeFlag != sc.name {
-			continue
-		}
-		for i := 0; i < campaigns; i++ {
-			seed := baseSeed + int64(i)
-			sched := fault.Campaign(seed, fault.CampaignConfig{
-				Horizon: cycles,
-				Domains: []mem.Domain{1},
-				// Keep individual storms well under the default
-				// watchdog stall budget: a healthy machine must
-				// never be flagged, so every report is a finding.
-				MaxStorm: 4_000,
-				Events:   events,
-			})
-			name := fmt.Sprintf("%s-seed%d", sc.name, seed)
-			if sc.scheme == config.DAGguise {
-				alt := name + "-alt"
-				add(name, jobMeta{schemeName: sc.name, scheme: sc.scheme, seed: seed, secret: 11, pair: alt, sched: sched})
-				add(alt, jobMeta{schemeName: sc.name, scheme: sc.scheme, seed: seed, secret: 12, pair: name, sched: sched})
-			} else {
-				add(name, jobMeta{schemeName: sc.name, scheme: sc.scheme, seed: seed, secret: 11, sched: sched})
-			}
-		}
-	}
-	return jobs, metas
+	return out
 }
 
-// makeJob wires one supervised job. The audit tap recording the
-// attacker-observable response stream is part of the checkpointed state,
-// so the digest in the result is identical whether or not the job was
-// interrupted and resumed.
-func makeJob(name string, m jobMeta, cycles uint64, app string, mx *obs.Registry, tr *obs.Tracer, prof *obs.CycleProfile) runner.Job {
-	var tap *audit.Tap
-	withTap := m.scheme == config.DAGguise
-	return runner.Job{
-		Name:   name,
-		Cycles: cycles,
-		Build: func(int) (*sim.System, error) {
-			sys, err := build(m.scheme, app, m.secret)
-			if err != nil {
-				return nil, err
-			}
-			if mx != nil || tr != nil {
-				sys.Observe(mx, tr)
-			}
-			sys.Profile(prof)
-			if err := sys.AttachFaults(m.sched); err != nil {
-				return nil, err
-			}
-			if withTap {
-				tap = audit.NewTap()
-				sys.AuditResponses(1, tap)
-			}
-			return sys, nil
-		},
-		Finish: func(sys *sim.System) (json.RawMessage, error) {
-			o := jobOutput{Scheme: m.schemeName, Seed: m.seed, Cycle: sys.Now()}
-			if withTap {
-				o.Secret = m.secret
-			}
-			st, err := sys.SaveState()
-			if err != nil {
-				return nil, err
-			}
-			for _, cs := range st.CoreStates {
-				o.Instructions = append(o.Instructions, cs.Stats.Instructions)
-			}
-			if withTap {
-				o.TapSamples = tap.Len()
-				o.TapSHA = tapDigest(tap)
-			}
-			return json.Marshal(o)
-		},
+// signalContext cancels on SIGINT, SIGTERM or after the -timeout budget.
+func signalContext(timeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx, stop := runner.WithSignals(context.Background())
+	if timeout <= 0 {
+		return ctx, stop
 	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	return ctx, func() { cancel(); stop() }
 }
 
-// tapDigest hashes the (cycle, value) response-timing stream.
-func tapDigest(t *audit.Tap) string {
-	h := sha256.New()
-	var buf [16]byte
-	for _, s := range t.Samples() {
-		binary.LittleEndian.PutUint64(buf[:8], s.Cycle)
-		binary.LittleEndian.PutUint64(buf[8:], s.Value)
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// report prints the per-campaign verdicts and the DAGguise
-// non-interference comparisons, returning the failure count.
-func report(records []runner.JobRecord, metas map[string]jobMeta, cycles uint64, app, failTrace string) int {
-	byName := make(map[string]*runner.JobRecord, len(records))
-	for i := range records {
-		byName[records[i].Name] = &records[i]
-	}
+// report prints one verdict line per campaign, with the non-interference
+// comparison for twin campaigns, and returns the failure count.
+func report(s fleet.Sweep, m *fleet.Manifest, failTrace string) int {
 	failures := 0
-	dumped := false
-	for i := range records {
-		rec := &records[i]
-		m := metas[rec.Name]
-		if m.secret == 12 {
-			continue // reported with its twin
-		}
-		if rec.State == runner.StateFailed {
-			failures++
-			fmt.Printf("FAIL  %-10s seed=%-6d %s\n", m.schemeName, m.seed, rec.Error)
-			if failTrace != "" && !dumped {
-				dumpFailTrace(failTrace, m.scheme, app, m.sched, cycles)
-				dumped = true
-			}
+	for _, rec := range m.Records {
+		sh, res := rec.Shard, rec.Result
+		head := fmt.Sprintf("%-10s seed=%-6d", sh.Scheme, sh.Seed)
+		var verdict string
+		switch {
+		case res == nil:
+			verdict = rec.Error
+		case len(res.Runs) == 2 && (res.Runs[0].TapSamples == 0 || res.Interference):
+			verdict = fmt.Sprintf("non-interference: response streams diverge (%d vs %d samples)",
+				res.Runs[0].TapSamples, res.Runs[1].TapSamples)
+		case len(res.Runs) == 2:
+			fmt.Printf("ok    %s %d events  response streams secret-independent\n", head, res.FaultEvents)
+			continue
+		default:
+			fmt.Printf("ok    %s %d events\n", head, res.FaultEvents)
 			continue
 		}
-		line := fmt.Sprintf("ok    %-10s seed=%-6d %d events", m.schemeName, m.seed, len(m.sched.Events))
-		if m.pair != "" {
-			twin := byName[m.pair]
-			switch {
-			case twin == nil || twin.State == runner.StateFailed:
-				failures++
-				fmt.Printf("FAIL  %-10s seed=%-6d twin run failed: %s\n", m.schemeName, m.seed, twinError(twin))
-				continue
-			default:
-				var a, b jobOutput
-				if err := json.Unmarshal(rec.Result, &a); err == nil {
-					_ = json.Unmarshal(twin.Result, &b)
-				}
-				if a.TapSamples == 0 || a.TapSHA != b.TapSHA {
-					failures++
-					fmt.Printf("FAIL  %-10s seed=%-6d non-interference: response streams diverge (%d vs %d samples)\n",
-						m.schemeName, m.seed, a.TapSamples, b.TapSamples)
-					if failTrace != "" && !dumped {
-						dumpFailTrace(failTrace, m.scheme, app, m.sched, cycles)
-						dumped = true
-					}
-					continue
-				}
-				line += "  response streams secret-independent"
-			}
+		fmt.Printf("FAIL  %s %s\n", head, verdict)
+		if failTrace != "" && failures == 0 {
+			dumpFailTrace(failTrace, s, sh, m.Fingerprint)
 		}
-		fmt.Println(line)
+		failures++
 	}
 	return failures
 }
 
-func twinError(rec *runner.JobRecord) string {
-	if rec == nil {
-		return "missing"
+// resultsJSON renders the deterministic sweep outcome: one entry per
+// machine in campaign order (a twin's secret-B run named <campaign>-alt),
+// no attempt counts, no checkpoint names, no timestamps — the
+// byte-identical artifact the CI kill-and-resume job diffs.
+func resultsJSON(m *fleet.Manifest) ([]byte, error) {
+	type output struct {
+		Scheme string `json:"scheme"`
+		Seed   int64  `json:"seed"`
+		fleet.BoxRun
 	}
-	return rec.Error
-}
-
-// resultsJSON renders the deterministic sweep outcome: job results in
-// campaign order, no attempt counts, no checkpoint names, no timestamps —
-// the byte-identical artifact the CI kill-and-resume job diffs.
-func resultsJSON(records []runner.JobRecord, metas map[string]jobMeta) ([]byte, error) {
 	type entry struct {
-		Name   string          `json:"name"`
-		State  runner.JobState `json:"state"`
-		Result json.RawMessage `json:"result,omitempty"`
-		Error  string          `json:"error,omitempty"`
+		Name   string       `json:"name"`
+		State  fleet.Status `json:"state"`
+		Result *output      `json:"result,omitempty"`
+		Error  string       `json:"error,omitempty"`
 	}
-	out := struct {
+	var doc struct {
 		Jobs []entry `json:"jobs"`
-	}{}
-	for _, rec := range records {
-		out.Jobs = append(out.Jobs, entry{Name: rec.Name, State: rec.State, Result: rec.Result, Error: rec.Error})
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
+	for _, rec := range m.Records {
+		sh := rec.Shard
+		if rec.Result == nil {
+			doc.Jobs = append(doc.Jobs, entry{Name: sh.Name, State: rec.Status, Error: rec.Error})
+			continue
+		}
+		for i, run := range rec.Result.Runs {
+			e := entry{Name: sh.Name, State: rec.Status, Result: &output{Scheme: sh.Scheme, Seed: sh.Seed, BoxRun: run}}
+			if i > 0 {
+				e.Name += "-alt"
+			}
+			doc.Jobs = append(doc.Jobs, e)
+		}
 	}
-	return append(data, '\n'), nil
+	data, err := json.MarshalIndent(doc, "", "  ")
+	return append(data, '\n'), err
 }
 
-func fatal(err error) {
+// failed reports err and returns the failure exit code.
+func failed(err error) int {
 	fmt.Fprintln(os.Stderr, "dagchaos:", err)
-	os.Exit(1)
+	return 1
 }
 
-// build wires a two-core machine: a protected DocDist victim carrying the
-// given secret and one unprotected co-runner.
-func build(scheme config.Scheme, app string, secret int64) (*sim.System, error) {
-	tr, err := victim.DocDistTrace(secret, victim.DefaultDocDist())
-	if err != nil {
-		return nil, err
-	}
-	prog, err := workload.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	cfg := config.Default(2, scheme)
-	return sim.New(cfg, []sim.CoreSpec{
-		{Name: "docdist", Source: &trace.Loop{Inner: tr}, Protected: true},
-		{Name: app, Source: workload.MustSource(prog, 5)},
-	})
-}
-
-// dumpFailTrace replays a failing campaign with an event tracer attached
-// and exports the postmortem as Chrome trace-event JSON: the violation
-// marker sits at the end of the Perfetto timeline, with the bank, shaper
-// and refresh activity leading up to it.
-func dumpFailTrace(path string, scheme config.Scheme, app string, sched fault.Schedule, cycles uint64) {
+// dumpFailTrace replays a failing campaign (secret A) with an event
+// tracer attached and exports the postmortem as Chrome trace-event JSON:
+// the violation marker sits at the end of the Perfetto timeline, with
+// the bank, shaper and refresh activity leading up to it.
+func dumpFailTrace(path string, s fleet.Sweep, sh fleet.Shard, fingerprint string) {
 	tr := obs.NewTracer(0)
-	sys, err := build(scheme, app, 11)
+	scheme, _ := config.ParseScheme(sh.Scheme)
+	sys, err := fleet.BoxMachine(scheme, s.App, s.SecretA)
+	if err == nil {
+		sys.Observe(nil, tr)
+		err = sys.AttachFaults(s.ShardFaultSchedule(fingerprint, sh))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dagchaos: fail-trace:", err)
 		return
 	}
-	sys.Observe(nil, tr)
-	if err := sys.AttachFaults(sched); err != nil {
-		fmt.Fprintln(os.Stderr, "dagchaos: fail-trace:", err)
-		return
-	}
-	if err := sys.RunChecked(cycles); err == nil {
+	if err := sys.RunChecked(sh.Cycles); err == nil {
 		fmt.Fprintln(os.Stderr, "dagchaos: replay of failing seed did not fail; writing trace anyway")
 	}
 	if err := obs.WriteChromeTraceFile(path, tr); err != nil {

@@ -21,7 +21,7 @@ package camouflage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dagguise/internal/mem"
 	"dagguise/internal/obs"
@@ -69,8 +69,10 @@ type Shaper struct {
 	alloc    shaper.IDAlloc
 	rng      *rng.Rand
 
-	queue    []mem.Request
-	pool     []uint64 // remaining intervals of the current epoch
+	queue    []mem.Request // private queue; live entries are queue[head:]
+	head     int
+	out      []mem.Request // Tick's result buffer, reused every emission
+	pool     []uint64      // remaining intervals of the current epoch
 	lastEmit uint64
 	nextAt   uint64
 	started  bool
@@ -118,10 +120,10 @@ func (s *Shaper) Observe(mx *obs.Registry, tr *obs.Tracer) {
 }
 
 // Full reports whether the private queue is at capacity.
-func (s *Shaper) Full() bool { return len(s.queue) >= s.capacity }
+func (s *Shaper) Full() bool { return s.QueueLen() >= s.capacity }
 
 // QueueLen returns the private queue occupancy.
-func (s *Shaper) QueueLen() int { return len(s.queue) }
+func (s *Shaper) QueueLen() int { return len(s.queue) - s.head }
 
 // Enqueue accepts a real request from the domain. It returns (false, nil)
 // when the private queue is full (ordinary backpressure) and a
@@ -130,10 +132,15 @@ func (s *Shaper) Enqueue(req mem.Request, now uint64) (bool, error) {
 	if req.Domain != s.domain {
 		return false, &shaper.RoutingError{Got: req.Domain, Want: s.domain, ID: req.ID}
 	}
-	if len(s.queue) >= s.capacity {
+	if s.Full() {
 		s.stats.Rejected++
 		s.mx.Inc(obs.CtrShaperRejected, int(s.domain))
 		return false, nil
+	}
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		// Slide the live entries down instead of growing the buffer.
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
 	}
 	s.queue = append(s.queue, req)
 	s.stats.Enqueued++
@@ -143,7 +150,7 @@ func (s *Shaper) Enqueue(req mem.Request, now uint64) (bool, error) {
 // refill starts a new epoch with a fresh copy of the distribution.
 func (s *Shaper) refill() {
 	s.pool = append(s.pool[:0], s.dist.Intervals...)
-	sort.Slice(s.pool, func(i, j int) bool { return s.pool[i] < s.pool[j] })
+	slices.Sort(s.pool)
 }
 
 // pickInterval removes and returns the next interval: the smallest one
@@ -164,21 +171,25 @@ func (s *Shaper) pickInterval(havePending bool) uint64 {
 	return v
 }
 
-// Tick returns the requests to inject this cycle.
+// Tick returns the requests to inject this cycle. The returned slice is
+// valid until the next Tick; callers must not keep it.
 func (s *Shaper) Tick(now uint64) []mem.Request {
-	s.mx.Observe(obs.HistShaperQueue, int(s.domain), uint64(len(s.queue)))
+	s.mx.Observe(obs.HistShaperQueue, int(s.domain), uint64(s.QueueLen()))
 	if !s.started {
 		s.started = true
-		s.nextAt = now + s.pickInterval(len(s.queue) > 0)
+		s.nextAt = now + s.pickInterval(s.QueueLen() > 0)
 		return nil
 	}
 	if now < s.nextAt {
 		return nil
 	}
 	var req mem.Request
-	if len(s.queue) > 0 {
-		req = s.queue[0]
-		s.queue = s.queue[1:]
+	if s.QueueLen() > 0 {
+		req = s.queue[s.head]
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
 		s.stats.Forwarded++
 		s.mx.Inc(obs.CtrShaperForwarded, int(s.domain))
 		s.tr.Emit(obs.Event{Cycle: now, Comp: obs.CompShaper, Kind: obs.EvReal, Index: int32(s.domain), Domain: int32(s.domain)})
@@ -196,8 +207,9 @@ func (s *Shaper) Tick(now uint64) []mem.Request {
 	}
 	req.Issue = now
 	s.lastEmit = now
-	s.nextAt = now + s.pickInterval(len(s.queue) > 0)
-	return []mem.Request{req}
+	s.nextAt = now + s.pickInterval(s.QueueLen() > 0)
+	s.out = append(s.out[:0], req)
+	return s.out
 }
 
 // OnResponse reports whether the response should be delivered to the core.
@@ -211,7 +223,7 @@ func (s *Shaper) Stats() Stats { return s.stats }
 
 // Reset clears the shaper state.
 func (s *Shaper) Reset() {
-	s.queue = s.queue[:0]
+	s.queue, s.head = s.queue[:0], 0
 	s.pool = s.pool[:0]
 	s.started = false
 	s.nextAt = 0

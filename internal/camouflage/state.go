@@ -23,7 +23,7 @@ type State struct {
 // SaveState captures the shaper's full mutable state.
 func (s *Shaper) SaveState() State {
 	return State{
-		Queue:    append([]mem.Request(nil), s.queue...),
+		Queue:    append([]mem.Request(nil), s.queue[s.head:]...),
 		Pool:     append([]uint64(nil), s.pool...),
 		LastEmit: s.lastEmit,
 		NextAt:   s.nextAt,
@@ -38,7 +38,7 @@ func (s *Shaper) RestoreState(st State) error {
 	if len(st.Queue) > s.capacity {
 		return fmt.Errorf("camouflage: state queue depth %d exceeds capacity %d", len(st.Queue), s.capacity)
 	}
-	s.queue = append(s.queue[:0], st.Queue...)
+	s.queue, s.head = append(s.queue[:0], st.Queue...), 0
 	s.pool = append(s.pool[:0], st.Pool...)
 	s.lastEmit = st.LastEmit
 	s.nextAt = st.NextAt

@@ -4,11 +4,18 @@
 // deterministic merge, so one invocation saturates every core and a
 // SIGKILL'd fleet resumes to the byte.
 //
-// The unit of work is the shard: one (scheme, seed, channel-slice) cell of
-// the sweep, executed as a twin pair of sim.Cluster runs whose protected
-// tenants encode two different secrets. A shard's result is a pure
-// function of its descriptor — worker count, completion order, retries and
-// crash/resume cycles can change nothing in the merged report.
+// The unit of work is the shard. A sweep holds shards of one kind:
+//
+//   - cluster (the default): one (scheme, seed, channel-slice) cell,
+//     executed as a twin pair of sim.Cluster runs whose protected tenants
+//     encode two different secrets;
+//   - box (KindBox): one (scheme, seed) fault campaign on the two-core
+//     sim.System, run as secret twins under DAGguise and as one machine
+//     under every other scheme.
+//
+// A shard's result is a pure function of its descriptor — worker count,
+// completion order, retries and crash/resume cycles can change nothing in
+// the merged report.
 package fleet
 
 import (
@@ -21,9 +28,11 @@ import (
 	"dagguise/internal/config"
 	"dagguise/internal/fault"
 	"dagguise/internal/mem"
+	"dagguise/internal/workload"
 )
 
-// Shard is one work-queue entry: a (scheme, seed, channel-slice) cell.
+// Shard is one work-queue entry: a (scheme, seed, channel-slice) cell (a
+// box shard's slice is empty).
 type Shard struct {
 	Name   string `json:"name"`
 	Scheme string `json:"scheme"`
@@ -34,8 +43,11 @@ type Shard struct {
 }
 
 // Sweep describes a whole campaign: the cross product of schemes, seeds
-// and channel slices over one multi-channel machine.
+// and (for cluster sweeps) channel slices.
 type Sweep struct {
+	// Kind selects the shard kind: empty for cluster shards, KindBox for
+	// single-box campaigns.
+	Kind string `json:"kind,omitempty"`
 	// Schemes are evaluation scheme names (config.ParseScheme); the
 	// Config's own Scheme field is overridden per shard.
 	Schemes []string `json:"schemes"`
@@ -57,10 +69,14 @@ type Sweep struct {
 	// ShardFaultSchedule). Both twins of a shard share the schedule, so
 	// the non-interference verdict extends to the faulty machine. Zero
 	// (the omitted default) keeps the sweep clean — and its fingerprint
-	// identical to pre-fault-campaign builds.
+	// identical to pre-fault-campaign builds. Box sweeps are always fault
+	// campaigns; zero selects fault.Campaign's default event count.
 	FaultEvents int `json:"fault_events,omitempty"`
-	// Config is the machine; its Scheme field is ignored.
+	// Config is the machine; its Scheme field is ignored. Box sweeps
+	// leave it zero.
 	Config config.MultiChannelConfig `json:"config"`
+	// App is the box machine's co-runner workload (box sweeps only).
+	App string `json:"app,omitempty"`
 }
 
 // DefaultSweep returns a two-scheme (insecure vs DAGguise) sweep over the
@@ -102,6 +118,14 @@ func (s Sweep) Validate() error {
 	if s.FaultEvents < 0 {
 		return fmt.Errorf("fleet: negative fault event count %d", s.FaultEvents)
 	}
+	switch s.Kind {
+	case KindBox:
+		_, err := workload.ByName(s.App)
+		return err
+	case "":
+	default:
+		return fmt.Errorf("fleet: unknown shard kind %q", s.Kind)
+	}
 	cfg := s.Config
 	for _, name := range s.Schemes {
 		scheme, _ := config.ParseScheme(name)
@@ -127,6 +151,10 @@ func (s Sweep) Shards() ([]Shard, error) {
 	var out []Shard
 	for _, scheme := range s.Schemes {
 		for _, seed := range s.Seeds {
+			if s.Kind == KindBox {
+				out = append(out, Shard{Name: fmt.Sprintf("%s-seed%d", scheme, seed), Scheme: scheme, Seed: seed, Cycles: s.Cycles})
+				continue
+			}
 			for lo := 0; lo < s.Config.Channels; lo += width {
 				hi := lo + width
 				if hi > s.Config.Channels {
@@ -147,13 +175,23 @@ func (s Sweep) Shards() ([]Shard, error) {
 }
 
 // ShardFaultSchedule derives the fault campaign for one shard of the
-// sweep: the seed is the first eight bytes of SHA-256(fingerprint |
-// shard name), so the schedule is a pure function of the sweep spec and
-// the shard — any fleet process (and any resume) derives the identical
-// faults, and a campaign failure replays from the sweep alone. Only the
-// protected domains are eligible for domain-scoped faults; the horizon
-// is the shard's cycle budget.
+// sweep. A box shard draws fault.Campaign from its own seed, confined to
+// the victim's domain and with storms short enough that a healthy machine
+// never trips the watchdog. A cluster shard's seed is the first eight
+// bytes of SHA-256(fingerprint | shard name), so the schedule is a pure
+// function of the sweep spec and the shard — any fleet process (and any
+// resume) derives the identical faults, and a campaign failure replays
+// from the sweep alone. Only the protected domains are eligible for
+// domain-scoped faults; the horizon is the shard's cycle budget.
 func (s Sweep) ShardFaultSchedule(fingerprint string, sh Shard) fault.Schedule {
+	if s.Kind == KindBox {
+		return fault.Campaign(sh.Seed, fault.CampaignConfig{
+			Horizon:  sh.Cycles,
+			Domains:  []mem.Domain{1},
+			MaxStorm: 4_000,
+			Events:   s.FaultEvents,
+		})
+	}
 	if s.FaultEvents <= 0 {
 		return fault.Schedule{}
 	}

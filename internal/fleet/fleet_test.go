@@ -221,7 +221,7 @@ func TestMergeRejectsIncomplete(t *testing.T) {
 	}
 }
 
-func TestManifestRoundTripAndRequeue(t *testing.T) {
+func TestManifestRoundTrip(t *testing.T) {
 	s := testSweep(2, 4, 1000)
 	m, err := NewManifest(s)
 	if err != nil {
@@ -245,14 +245,8 @@ func TestManifestRoundTripAndRequeue(t *testing.T) {
 	if err := loaded.Matches(other); !errors.Is(err, ErrManifestMismatch) {
 		t.Fatalf("got %v, want ErrManifestMismatch", err)
 	}
-	if n := loaded.Requeue(); n != 1 {
-		t.Fatalf("requeued %d shards, want 1", n)
-	}
-	if loaded.Records[0].Status != StatusPending || loaded.Records[0].Resumes != 1 {
-		t.Fatalf("crashed shard not re-queued: %+v", loaded.Records[0])
-	}
-	if loaded.Records[1].Status != StatusDone {
-		t.Fatal("done shard must survive a requeue")
+	if loaded.Records[0].Status != StatusRunning || loaded.Records[1].Status != StatusDone {
+		t.Fatalf("record states did not round-trip: %s, %s", loaded.Records[0].Status, loaded.Records[1].Status)
 	}
 }
 

@@ -31,8 +31,8 @@ type Status string
 const (
 	// StatusPending marks a shard no worker has claimed.
 	StatusPending Status = "pending"
-	// StatusRunning marks a claimed shard. A manifest loaded with running
-	// shards belonged to a crashed fleet; they are re-queued on resume.
+	// StatusRunning marks a claimed shard. A running shard whose lease has
+	// lapsed belonged to a crashed owner; Reconcile re-queues it on resume.
 	StatusRunning Status = "running"
 	// StatusDone marks a completed shard with a recorded result.
 	StatusDone Status = "done"
@@ -130,26 +130,6 @@ func (m *Manifest) Matches(s Sweep) error {
 		return fmt.Errorf("%w: manifest fingerprint %.12s…, sweep %.12s…", ErrManifestMismatch, m.Fingerprint, fp)
 	}
 	return nil
-}
-
-// Requeue flips crashed shards (left running by a killed fleet) back to
-// pending and counts the resume. It returns how many it re-queued.
-//
-// Requeue is the crashed-fleet degenerate path: it assumes every running
-// record's owner is dead, which is only safe when no other process can
-// hold a live claim. Multi-process fleets use Reconcile instead, which
-// consults the lease files and re-queues only shards whose leases have
-// actually lapsed.
-func (m *Manifest) Requeue() int {
-	n := 0
-	for i := range m.Records {
-		if m.Records[i].Status == StatusRunning {
-			m.Records[i].Status = StatusPending
-			m.Records[i].Resumes++
-			n++
-		}
-	}
-	return n
 }
 
 // Counts returns the number of records in each state.

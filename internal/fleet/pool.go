@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"dagguise/internal/config"
 	"dagguise/internal/fault"
 	"dagguise/internal/obs"
 	"dagguise/internal/runner"
@@ -74,6 +75,9 @@ type Options struct {
 	// artifacts quarantined to *.corrupt; the merged report bytes are
 	// unaffected.
 	FS *fault.FSInjector
+	// Attach, if set, is called on every sim.System a box shard builds
+	// (see ShardOptions.Attach).
+	Attach func(*sim.System)
 }
 
 // Pool executes a sweep's manifest over a worker pool. Shard ownership is
@@ -641,7 +645,7 @@ func (p *pool) runShard(ctx context.Context, idx int, sh Shard, e *telem.Emitter
 			res, err = nil, fmt.Errorf("fleet: shard %s panicked: %v", sh.Name, r)
 		}
 	}()
-	return RunShard(ctx, p.sweep.Config, sh, ShardOptions{
+	opt := ShardOptions{
 		Dir:       p.opts.Dir,
 		Every:     p.opts.CheckpointEvery,
 		SecretA:   p.sweep.SecretA,
@@ -674,7 +678,12 @@ func (p *pool) runShard(ctx context.Context, idx int, sh Shard, e *telem.Emitter
 			e.Point("stalls/"+sh.Name, hi, float64(c.Stalls))
 			_ = e.Sync()
 		},
-	})
+		Attach: p.opts.Attach,
+	}
+	if p.sweep.Kind == KindBox {
+		return runBoxShard(ctx, p.sweep.App, sh, opt, sh.Scheme == config.DAGguise.String())
+	}
+	return RunShard(ctx, p.sweep.Config, sh, opt)
 }
 
 // logMu serializes fleet log lines: logf formats first and issues one

@@ -171,16 +171,16 @@ func loadFailed(io *fsio, dir, shard string) (*failedMarker, error) {
 }
 
 // Reconcile folds the fleet directory's authoritative per-shard state
-// into the manifest — the lease-aware replacement for Manifest.Requeue:
+// into the manifest:
 //
 //   - a committed result file marks the record done (adopting a peer's
 //     or a previous incarnation's work),
 //   - a failure marker marks it failed,
 //   - a live lease keeps it running (a peer owns it — joining a live
 //     fleet must not double-run claimed shards),
-//   - otherwise a running record's lease has lapsed (or never existed —
-//     the crashed-fleet degenerate case, where Reconcile behaves exactly
-//     like the old Requeue) and the shard returns to pending.
+//   - otherwise a running record's lease has lapsed (or never existed,
+//     as after a crashed single-process fleet) and the shard returns to
+//     pending with its resume counted.
 //
 // It returns the names of the re-queued shards.
 func Reconcile(m *Manifest, dir string, lm *LeaseManager, io *fsio) []string {

@@ -16,9 +16,10 @@ import (
 
 // ShardResult is the deterministic outcome of one shard: the twin-run
 // digests, the non-interference verdict, and the aggregate counters of the
-// secret-A run. Every field is a pure function of the shard descriptor and
-// the sweep config — never of worker count, retries or resume history —
-// which is what makes the merged report byte-stable.
+// secret-A run (a box shard reports its machines in Runs instead). Every
+// field is a pure function of the shard descriptor and the sweep config —
+// never of worker count, retries or resume history — which is what makes
+// the merged report byte-stable.
 type ShardResult struct {
 	Name         string              `json:"name"`
 	Scheme       string              `json:"scheme"`
@@ -35,6 +36,9 @@ type ShardResult struct {
 	// pre-campaign builds). Like every other field it is a pure function
 	// of the shard descriptor and sweep config.
 	FaultEvents int `json:"fault_events,omitempty"`
+	// Runs holds a box shard's machines, secret A first (absent on
+	// cluster shards).
+	Runs []BoxRun `json:"runs,omitempty"`
 }
 
 // ShardOptions configures one shard execution.
@@ -60,14 +64,18 @@ type ShardOptions struct {
 	// OnResume, if set, is called when a checkpoint frame was restored.
 	OnResume func()
 	// OnChunk, if set, is called after every simulated chunk with the
-	// chunk's cycle bounds and the secret-A twin's counters — BEFORE the
-	// chunk's checkpoint is cut. That ordering is load-bearing for the
-	// telemetry plane: the pool emits (and fsyncs) the chunk's telemetry
-	// inside this hook, so by the time the checkpoint that lets a resume
-	// skip the chunk is durable, the chunk's records already are too —
-	// a SIGKILL can duplicate telemetry (the collector dedups) but can
-	// never leave a hole in it.
+	// chunk's cycle bounds and the secret-A cluster twin's counters (zero
+	// on box shards) — BEFORE the chunk's checkpoint is cut. That
+	// ordering is load-bearing for the telemetry plane: the pool emits
+	// (and fsyncs) the chunk's telemetry inside this hook, so by the time
+	// the checkpoint that lets a resume skip the chunk is durable, the
+	// chunk's records already are too — a SIGKILL can duplicate telemetry
+	// (the collector dedups) but can never leave a hole in it.
 	OnChunk func(lo, hi uint64, counters sim.ClusterCounters)
+	// Attach, if set, is called on every machine a box shard builds,
+	// before its faults attach and its checkpoint restores: the place
+	// for measurement-only collectors (registry, tracer, profiler).
+	Attach func(*sim.System)
 }
 
 // pairState is the checkpoint payload: both twins, cut at the same cycle.
@@ -81,11 +89,131 @@ func CheckpointName(dir, shard string) string {
 	return filepath.Join(dir, shard+".ckpt")
 }
 
-// RunShard executes one shard: twin clusters over the shard's channel
-// slice, advanced in checkpointed chunks, digested into a ShardResult.
-// A context cancellation between chunks returns ctx.Err() with the last
-// checkpoint already durable; rerunning the same shard resumes from it and
-// produces the identical result.
+// machines is a shard kind's handle for the chunk driver: the shard's
+// machines (twins, or one), advanced together and checkpointed as one
+// payload.
+type machines interface {
+	Now() uint64
+	Run(ctx context.Context, cycles uint64) error
+	Counters() sim.ClusterCounters
+	Save() (any, error)
+	Restore(payload []byte) error
+}
+
+// drive resumes the shard's machines from their checkpoint when one
+// exists, then advances them to the shard's cycle budget in
+// checkpointed chunks. A context cancellation between chunks returns
+// ctx.Err() with the last checkpoint already durable.
+func drive(ctx context.Context, sh Shard, opt ShardOptions, m machines) error {
+	loadFrame := opt.LoadFrame
+	if loadFrame == nil {
+		loadFrame = ckpt.LoadFrame
+	}
+	ckptPath := ""
+	if opt.Dir != "" {
+		ckptPath = CheckpointName(opt.Dir, sh.Name)
+		if blob, err := loadFrame(ckptPath); err == nil {
+			if err := m.Restore(blob); err != nil {
+				return fmt.Errorf("fleet: shard %s checkpoint: %w", sh.Name, err)
+			}
+			if opt.OnResume != nil {
+				opt.OnResume()
+			}
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("fleet: shard %s checkpoint: %w", sh.Name, err)
+		}
+	}
+	every := opt.Every
+	if every == 0 || every > sh.Cycles {
+		every = sh.Cycles
+	}
+	for m.Now() < sh.Cycles {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		chunk := every
+		if rem := sh.Cycles - m.Now(); chunk > rem {
+			chunk = rem
+		}
+		lo := m.Now()
+		if err := m.Run(ctx, chunk); err != nil {
+			return err
+		}
+		if opt.OnChunk != nil {
+			opt.OnChunk(lo, m.Now(), m.Counters())
+		}
+		if ckptPath != "" && m.Now() < sh.Cycles {
+			if err := saveCheckpoint(ckptPath, m, opt.SaveFrame); err != nil {
+				return err
+			}
+			if opt.OnCheckpoint != nil {
+				opt.OnCheckpoint()
+			}
+		}
+	}
+	return nil
+}
+
+// saveCheckpoint cuts a durable snapshot of the shard's machines.
+func saveCheckpoint(path string, m machines, save func(string, []byte) error) error {
+	st, err := m.Save()
+	if err != nil {
+		return err
+	}
+	blob, err := json.Marshal(st)
+	if err != nil {
+		return err
+	}
+	if save == nil {
+		save = ckpt.SaveFrame
+	}
+	return save(path, blob)
+}
+
+// clusterTwins is the cluster kind's pair of sim.Cluster twins.
+type clusterTwins struct{ a, b *sim.Cluster }
+
+func (t clusterTwins) Now() uint64 { return t.a.Now() }
+
+func (t clusterTwins) Run(_ context.Context, cycles uint64) error {
+	t.a.Run(cycles)
+	t.b.Run(cycles)
+	return nil
+}
+
+func (t clusterTwins) Counters() sim.ClusterCounters { return t.a.Counters() }
+
+func (t clusterTwins) Save() (any, error) {
+	sa, err := t.a.SaveState()
+	if err != nil {
+		return nil, err
+	}
+	sb, err := t.b.SaveState()
+	if err != nil {
+		return nil, err
+	}
+	return pairState{A: sa, B: sb}, nil
+}
+
+func (t clusterTwins) Restore(payload []byte) error {
+	var pair pairState
+	if err := json.Unmarshal(payload, &pair); err != nil {
+		return err
+	}
+	if err := t.a.RestoreState(pair.A); err != nil {
+		return fmt.Errorf("twin A: %w", err)
+	}
+	if err := t.b.RestoreState(pair.B); err != nil {
+		return fmt.Errorf("twin B: %w", err)
+	}
+	return nil
+}
+
+// RunShard executes one cluster shard: twin clusters over the shard's
+// channel slice, advanced in checkpointed chunks, digested into a
+// ShardResult. A context cancellation between chunks returns ctx.Err()
+// with the last checkpoint already durable; rerunning the same shard
+// resumes from it and produces the identical result.
 func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt ShardOptions) (*ShardResult, error) {
 	scheme, err := config.ParseScheme(sh.Scheme)
 	if err != nil {
@@ -109,57 +237,8 @@ func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt
 			return nil, fmt.Errorf("fleet: shard %s faults: %w", sh.Name, err)
 		}
 	}
-	loadFrame := opt.LoadFrame
-	if loadFrame == nil {
-		loadFrame = ckpt.LoadFrame
-	}
-	ckptPath := ""
-	if opt.Dir != "" {
-		ckptPath = CheckpointName(opt.Dir, sh.Name)
-		if blob, err := loadFrame(ckptPath); err == nil {
-			var pair pairState
-			if err := json.Unmarshal(blob, &pair); err != nil {
-				return nil, fmt.Errorf("fleet: shard %s checkpoint: %w", sh.Name, err)
-			}
-			if err := a.RestoreState(pair.A); err != nil {
-				return nil, fmt.Errorf("fleet: shard %s twin A: %w", sh.Name, err)
-			}
-			if err := b.RestoreState(pair.B); err != nil {
-				return nil, fmt.Errorf("fleet: shard %s twin B: %w", sh.Name, err)
-			}
-			if opt.OnResume != nil {
-				opt.OnResume()
-			}
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("fleet: shard %s checkpoint: %w", sh.Name, err)
-		}
-	}
-	every := opt.Every
-	if every == 0 || every > sh.Cycles {
-		every = sh.Cycles
-	}
-	for a.Now() < sh.Cycles {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		chunk := every
-		if rem := sh.Cycles - a.Now(); chunk > rem {
-			chunk = rem
-		}
-		lo := a.Now()
-		a.Run(chunk)
-		b.Run(chunk)
-		if opt.OnChunk != nil {
-			opt.OnChunk(lo, a.Now(), a.Counters())
-		}
-		if ckptPath != "" && a.Now() < sh.Cycles {
-			if err := saveCheckpoint(ckptPath, a, b, opt.SaveFrame); err != nil {
-				return nil, err
-			}
-			if opt.OnCheckpoint != nil {
-				opt.OnCheckpoint()
-			}
-		}
+	if err := drive(ctx, sh, opt, clusterTwins{a, b}); err != nil {
+		return nil, err
 	}
 	da, db := a.AuditDigest(), b.AuditDigest()
 	return &ShardResult{
@@ -174,24 +253,4 @@ func RunShard(ctx context.Context, base config.MultiChannelConfig, sh Shard, opt
 		Counters:     a.Counters(),
 		FaultEvents:  len(opt.Faults.Events),
 	}, nil
-}
-
-// saveCheckpoint cuts a durable paired snapshot of both twins.
-func saveCheckpoint(path string, a, b *sim.Cluster, save func(string, []byte) error) error {
-	sa, err := a.SaveState()
-	if err != nil {
-		return err
-	}
-	sb, err := b.SaveState()
-	if err != nil {
-		return err
-	}
-	blob, err := json.Marshal(pairState{A: sa, B: sb})
-	if err != nil {
-		return err
-	}
-	if save == nil {
-		save = ckpt.SaveFrame
-	}
-	return save(path, blob)
 }

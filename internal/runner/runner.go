@@ -1,356 +1,26 @@
-// Package runner supervises long simulation campaigns: it threads context
-// cancellation through every tick loop, isolates per-job panics, retries
-// transiently-failed jobs with exponentially backed-off, deterministically
-// jittered delays, auto-checkpoints running jobs on a cycle cadence, and
-// records everything in an atomically-persisted JSON manifest so a killed
-// campaign resumes exactly where it stopped.
-//
-// The determinism contract: because checkpoints restore bit-identically
-// (see internal/ckpt), a campaign that is interrupted at any point and
-// resumed produces byte-identical job results to one that ran start to
-// finish. The manifest carries bookkeeping (attempts, checkpoint names)
-// that may differ between the two histories; job results never do.
+// Package runner holds the two supervision primitives shared by the
+// campaign tools: WithSignals, which turns SIGINT/SIGTERM into ordinary
+// context cancellation, and BackoffDelay, the bounded, deterministically
+// jittered retry delay. Campaigns themselves run as fleets (see
+// internal/fleet).
 package runner
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"dagguise/internal/ckpt"
-	"dagguise/internal/obs"
 	"dagguise/internal/rng"
-	"dagguise/internal/sim"
 )
-
-// Job is one unit of supervised work: build a machine, run it for a cycle
-// budget, extract a result.
-type Job struct {
-	// Name identifies the job in the manifest and checkpoint files; it must
-	// be unique within a campaign.
-	Name string
-	// Cycles is the absolute cycle the machine must reach (fresh systems
-	// start at cycle 0, so this is also the run length).
-	Cycles uint64
-	// Build constructs a fresh, fully-wired System (faults attached, traces
-	// enabled). attempt is 0 for the first try and increments on every
-	// supervised retry, so chaos campaigns can vary their schedule per
-	// attempt instead of deterministically re-tripping the same failure.
-	Build func(attempt int) (*sim.System, error)
-	// Finish extracts the job's result once the machine reached Cycles. It
-	// must be deterministic in the system state: the resume test diffs its
-	// output byte for byte against an uninterrupted run.
-	Finish func(sys *sim.System) (json.RawMessage, error)
-}
-
-// Config parameterises a Runner.
-type Config struct {
-	// Dir is the checkpoint/manifest directory; empty disables persistence
-	// (no auto-checkpoints, no resume).
-	Dir string
-	// Every is the auto-checkpoint cadence in simulated cycles (0 saves
-	// only on interruption).
-	Every uint64
-	// Retries is how many supervised retries a job gets after a retryable
-	// failure (a watchdog SimError or a panic) before it is marked failed.
-	Retries int
-	// Backoff is the base delay before the first retry; it doubles per
-	// attempt up to MaxBackoff. Zero selects 50ms.
-	Backoff time.Duration
-	// MaxBackoff caps the backoff growth. Zero selects 2s.
-	MaxBackoff time.Duration
-	// Seed drives the backoff jitter deterministically.
-	Seed int64
-	// Log receives human-readable progress lines (nil = silent).
-	Log io.Writer
-	// OnCheckpoint, when set, is called after every successful
-	// auto-checkpoint with the job name and its cycle position — an
-	// observability and test hook.
-	OnCheckpoint func(job string, cycle uint64)
-	// Spans, when set, is the shared flight-recorder span layer: the
-	// runner opens one span per job (lane = job index, reopened across
-	// checkpoint resumes via the sim state) and one child span per
-	// checkpoint chunk, and attaches the recorder to every system it
-	// materializes so spans open at a checkpoint reopen after restore.
-	Spans *obs.Spans
-}
-
-// JobState is a manifest lifecycle state.
-type JobState string
-
-const (
-	StatePending JobState = "pending"
-	StateRunning JobState = "running"
-	StateDone    JobState = "done"
-	StateFailed  JobState = "failed"
-)
-
-// JobRecord is one job's manifest entry. The observability counters
-// (Retries, BackoffNs, Checkpoints, Resumes) live in the manifest
-// rather than in process memory so campaign progress is scrapeable via
-// WriteJobMetrics and survives a SIGTERM + resume exactly like the job
-// results do; omitempty keeps manifests written before these fields
-// existed loadable (absent decodes as zero).
-type JobRecord struct {
-	Name       string          `json:"name"`
-	State      JobState        `json:"state"`
-	Cycles     uint64          `json:"cycles_done"`
-	Total      uint64          `json:"cycles_total"`
-	Attempts   int             `json:"attempts"`
-	Checkpoint string          `json:"checkpoint,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
-	Error      string          `json:"error,omitempty"`
-
-	// Retries counts supervised retry decisions after retryable failures.
-	Retries uint64 `json:"retries,omitempty"`
-	// BackoffNs accumulates the deterministic backoff delay the job's
-	// retries were scheduled with, in nanoseconds.
-	BackoffNs int64 `json:"backoff_ns,omitempty"`
-	// Checkpoints counts successful checkpoint writes (auto-cadence and
-	// interruption saves alike).
-	Checkpoints uint64 `json:"checkpoint_writes,omitempty"`
-	// Resumes counts restores from a persisted checkpoint.
-	Resumes uint64 `json:"resumes,omitempty"`
-}
-
-// manifestVersion guards the manifest schema the same way ckpt.Version
-// guards snapshots.
-const manifestVersion = 1
-
-// Manifest is the campaign's durable progress record.
-type Manifest struct {
-	Version int         `json:"version"`
-	Jobs    []JobRecord `json:"jobs"`
-}
-
-// ManifestName is the manifest's file name inside Config.Dir.
-const ManifestName = "manifest.json"
-
-// Runner executes campaigns under the supervision Config describes.
-type Runner struct {
-	cfg Config
-}
-
-// New builds a Runner, filling backoff defaults.
-func New(cfg Config) *Runner {
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
-	}
-	return &Runner{cfg: cfg}
-}
 
 // WithSignals derives a context that cancels on SIGINT or SIGTERM, so a ^C
 // or a supervisor's terminate lands as ordinary cooperative cancellation:
-// the running job checkpoints, the manifest is persisted, and Run returns.
+// the running work stops at its next checkpoint boundary and the caller
+// exits resumably.
 func WithSignals(ctx context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-}
-
-// Run executes the jobs in order. Completed jobs recorded in an existing
-// manifest are skipped (their stored result is returned); a job interrupted
-// by a previous kill resumes from its checkpoint. The returned error is
-// non-nil only for campaign-level failures — a context interruption (after
-// state has been saved) or persistence trouble; individual job failures are
-// reported in their JobRecord.
-func (r *Runner) Run(ctx context.Context, jobs []Job) ([]JobRecord, error) {
-	if err := validateJobs(jobs); err != nil {
-		return nil, err
-	}
-	records, err := r.loadOrInitManifest(jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range jobs {
-		rec := &records[i]
-		if rec.State == StateDone {
-			r.logf("job %s: already done (%d cycles), skipping", rec.Name, rec.Cycles)
-			continue
-		}
-		if rec.State == StateFailed {
-			r.logf("job %s: previously failed (%s), skipping", rec.Name, rec.Error)
-			continue
-		}
-		if err := r.runJob(ctx, &jobs[i], rec, records, i); err != nil {
-			// Interrupted: state is saved; surface the cancellation.
-			return records, err
-		}
-	}
-	return records, nil
-}
-
-// runJob supervises one job through retries and checkpoints. It returns an
-// error only when the context fired; job-level failures land in rec.
-func (r *Runner) runJob(ctx context.Context, job *Job, rec *JobRecord, all []JobRecord, idx int) error {
-	for {
-		sys, err := r.materialize(job, rec)
-		if err == nil {
-			err = r.drive(ctx, job, rec, all, sys, idx)
-		}
-		switch {
-		case err == nil:
-			return nil
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			return err
-		case !retryable(err):
-			return r.fail(rec, all, err)
-		case rec.Attempts > r.cfg.Retries:
-			return r.fail(rec, all, fmt.Errorf("%w (after %d attempts)", err, rec.Attempts))
-		}
-		r.logf("job %s: attempt %d failed (%v); retrying after backoff", job.Name, rec.Attempts-1, err)
-		r.dropCheckpoint(rec)
-		rec.Retries++
-		if err := r.backoff(ctx, rec.Attempts-1, rec); err != nil {
-			return err
-		}
-	}
-}
-
-// materialize produces the system for the job's next attempt: restored from
-// its checkpoint when one exists, freshly built otherwise. Panics in Build
-// are converted to errors.
-func (r *Runner) materialize(job *Job, rec *JobRecord) (sys *sim.System, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &panicError{job: job.Name, stage: "build", val: p}
-		}
-	}()
-	attempt := rec.Attempts
-	rec.Attempts++ // count before Build so a panicking attempt still counts
-	sys, err = job.Build(attempt)
-	if err != nil {
-		return nil, fmt.Errorf("runner: job %q build: %w", job.Name, err)
-	}
-	if r.cfg.Spans != nil {
-		// Attach before restoring so spans captured in the checkpoint
-		// (the job span, any sim-side spans) reopen into the shared
-		// recorder with their original IDs and start cycles.
-		sys.TraceSpans(r.cfg.Spans)
-	}
-	if rec.Checkpoint != "" && r.cfg.Dir != "" {
-		st, lerr := ckpt.Load(filepath.Join(r.cfg.Dir, rec.Checkpoint))
-		if lerr != nil {
-			return nil, fmt.Errorf("runner: job %q resume: %w", job.Name, lerr)
-		}
-		if rerr := sys.RestoreState(st); rerr != nil {
-			return nil, fmt.Errorf("runner: job %q resume: %w", job.Name, rerr)
-		}
-		rec.Resumes++
-		r.logf("job %s: resumed from %s at cycle %d", job.Name, rec.Checkpoint, sys.Now())
-	}
-	return sys, nil
-}
-
-// jobSpan returns the job's flight-recorder span: the one the checkpoint
-// restore reopened when resuming, or a freshly opened root span on the
-// job's own lane (Perfetto thread = campaign index) otherwise.
-func (r *Runner) jobSpan(name string, idx int, sys *sim.System) uint64 {
-	if r.cfg.Spans == nil {
-		return 0
-	}
-	for _, o := range r.cfg.Spans.Open() {
-		if o.Comp == obs.CompRunner && o.Name == "job:"+name {
-			return o.ID
-		}
-	}
-	return r.cfg.Spans.Begin("job:"+name, obs.CompRunner, int32(idx), 0, 0, sys.Now())
-}
-
-// drive advances the system to the job's cycle target in checkpoint-sized
-// chunks, persisting a snapshot and the manifest after each. Panics in the
-// tick loop or in Finish are converted to errors.
-func (r *Runner) drive(ctx context.Context, job *Job, rec *JobRecord, all []JobRecord, sys *sim.System, idx int) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &panicError{job: job.Name, stage: "run", val: p}
-		}
-	}()
-	rec.State = StateRunning
-	jobSpan := r.jobSpan(job.Name, idx, sys)
-	for sys.Now() < job.Cycles {
-		chunk := job.Cycles - sys.Now()
-		if r.cfg.Every > 0 && chunk > r.cfg.Every {
-			chunk = r.cfg.Every
-		}
-		cs := r.cfg.Spans.Begin("chunk", obs.CompRunner, int32(idx), 0, jobSpan, sys.Now())
-		runErr := sys.RunCheckedCtx(ctx, chunk)
-		rec.Cycles = sys.Now()
-		// Chunk spans never straddle a checkpoint: close before saving so
-		// only the job span reopens on resume.
-		r.cfg.Spans.End(cs, sys.Now())
-		if runErr != nil {
-			if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-				// Interrupted: persist a final checkpoint so the next
-				// invocation resumes mid-job.
-				if serr := r.saveCheckpoint(sys, rec, all); serr != nil {
-					return serr
-				}
-				r.logf("job %s: interrupted at cycle %d, checkpoint saved", job.Name, rec.Cycles)
-			}
-			return runErr
-		}
-		if r.cfg.Every > 0 && sys.Now() < job.Cycles {
-			if serr := r.saveCheckpoint(sys, rec, all); serr != nil {
-				return serr
-			}
-			if r.cfg.OnCheckpoint != nil {
-				r.cfg.OnCheckpoint(job.Name, sys.Now())
-			}
-		}
-	}
-	result, err := job.Finish(sys)
-	if err != nil {
-		return fmt.Errorf("runner: job %q finish: %w", job.Name, err)
-	}
-	rec.State = StateDone
-	rec.Cycles = sys.Now()
-	rec.Result = result
-	r.cfg.Spans.End(jobSpan, sys.Now())
-	r.dropCheckpoint(rec)
-	r.logf("job %s: done at cycle %d", job.Name, rec.Cycles)
-	return r.saveManifest(all)
-}
-
-// fail marks the job failed in the manifest and keeps the campaign going.
-func (r *Runner) fail(rec *JobRecord, all []JobRecord, cause error) error {
-	rec.State = StateFailed
-	rec.Error = cause.Error()
-	r.dropCheckpoint(rec)
-	r.logf("job %s: failed: %v", rec.Name, cause)
-	return r.saveManifest(all)
-}
-
-// panicError wraps a recovered panic so supervision can classify it.
-type panicError struct {
-	job   string
-	stage string
-	val   interface{}
-}
-
-func (e *panicError) Error() string {
-	return fmt.Sprintf("runner: job %q %s panicked: %v", e.job, e.stage, e.val)
-}
-
-// retryable reports whether a failure is worth another supervised attempt:
-// watchdog/invariant SimErrors (typically injected-fault outcomes) and
-// recovered panics, but not build/config errors.
-func retryable(err error) bool {
-	var se *sim.SimError
-	if errors.As(err, &se) {
-		return true
-	}
-	var pe *panicError
-	return errors.As(err, &pe)
 }
 
 // BackoffDelay computes the supervised-retry delay for the given attempt:
@@ -381,135 +51,4 @@ func BackoffDelay(base, max time.Duration, seed int64, attempt int) time.Duratio
 	}
 	jit := rng.New(seed + int64(attempt))
 	return d/2 + time.Duration(jit.Int63n(int64(d/2)+1))
-}
-
-// backoff sleeps for BackoffDelay of the attempt, honouring cancellation,
-// and charges the scheduled delay to the job's backoff counter (counted
-// even when cancellation cuts the sleep short — the delay was committed).
-func (r *Runner) backoff(ctx context.Context, attempt int, rec *JobRecord) error {
-	d := BackoffDelay(r.cfg.Backoff, r.cfg.MaxBackoff, r.cfg.Seed, attempt)
-	rec.BackoffNs += int64(d)
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// saveCheckpoint snapshots the system and persists manifest + snapshot
-// atomically (snapshot first, so the manifest never references a missing
-// file). With no Dir configured it is a no-op.
-func (r *Runner) saveCheckpoint(sys *sim.System, rec *JobRecord, all []JobRecord) error {
-	if r.cfg.Dir == "" {
-		return nil
-	}
-	st, err := sys.SaveState()
-	if err != nil {
-		return fmt.Errorf("runner: checkpoint %q: %w", rec.Name, err)
-	}
-	name := checkpointName(rec.Name)
-	if err := ckpt.Save(filepath.Join(r.cfg.Dir, name), st); err != nil {
-		return err
-	}
-	rec.Checkpoint = name
-	rec.Checkpoints++
-	return r.saveManifest(all)
-}
-
-// dropCheckpoint forgets (and best-effort deletes) the job's snapshot.
-func (r *Runner) dropCheckpoint(rec *JobRecord) {
-	if rec.Checkpoint != "" && r.cfg.Dir != "" {
-		_ = os.Remove(filepath.Join(r.cfg.Dir, rec.Checkpoint))
-	}
-	rec.Checkpoint = ""
-}
-
-// loadOrInitManifest reconciles an existing manifest with the requested
-// jobs, or initialises a fresh one.
-func (r *Runner) loadOrInitManifest(jobs []Job) ([]JobRecord, error) {
-	fresh := make([]JobRecord, len(jobs))
-	for i, j := range jobs {
-		fresh[i] = JobRecord{Name: j.Name, State: StatePending, Total: j.Cycles}
-	}
-	if r.cfg.Dir == "" {
-		return fresh, nil
-	}
-	data, err := os.ReadFile(filepath.Join(r.cfg.Dir, ManifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return fresh, r.saveManifest(fresh)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("runner: read manifest: %w", err)
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("runner: corrupt manifest: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("runner: manifest version %d, this build reads %d", m.Version, manifestVersion)
-	}
-	byName := make(map[string]JobRecord, len(m.Jobs))
-	for _, rec := range m.Jobs {
-		byName[rec.Name] = rec
-	}
-	for i := range fresh {
-		rec, ok := byName[fresh[i].Name]
-		if !ok {
-			continue
-		}
-		if rec.Total != fresh[i].Total {
-			return nil, fmt.Errorf("runner: manifest job %q ran for %d total cycles, campaign now asks %d — refusing to mix",
-				rec.Name, rec.Total, fresh[i].Total)
-		}
-		fresh[i] = rec
-	}
-	return fresh, nil
-}
-
-// saveManifest persists the campaign state atomically (fsync'd temp file +
-// rename), so a kill at any instant leaves a consistent manifest.
-func (r *Runner) saveManifest(records []JobRecord) error {
-	if r.cfg.Dir == "" {
-		return nil
-	}
-	data, err := json.MarshalIndent(Manifest{Version: manifestVersion, Jobs: records}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return ckpt.WriteFileAtomic(filepath.Join(r.cfg.Dir, ManifestName), append(data, '\n'))
-}
-
-func validateJobs(jobs []Job) error {
-	seen := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		if j.Name == "" || j.Build == nil || j.Finish == nil || j.Cycles == 0 {
-			return fmt.Errorf("runner: job %q needs a name, Build, Finish and a cycle budget", j.Name)
-		}
-		if seen[j.Name] {
-			return fmt.Errorf("runner: duplicate job name %q", j.Name)
-		}
-		seen[j.Name] = true
-	}
-	return nil
-}
-
-// checkpointName maps a job name to a file-safe snapshot name.
-func checkpointName(job string) string {
-	var b strings.Builder
-	for _, r := range job {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String() + ".ckpt"
-}
-
-func (r *Runner) logf(format string, args ...interface{}) {
-	if r.cfg.Log != nil {
-		fmt.Fprintf(r.cfg.Log, "runner: "+format+"\n", args...)
-	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // TestSteadyStateAllocFree pins the Figure 9 hot path allocation-free: once
-// the two-core DocDist + lbm machine is warm, running it allocates nothing.
-// Camouflage still allocates in steady state and is not covered.
+// the two-core DocDist + lbm machine is warm, running it allocates nothing,
+// under every scheme.
 func TestSteadyStateAllocFree(t *testing.T) {
-	for _, scheme := range []config.Scheme{config.Insecure, config.FixedService, config.FSBTA, config.TemporalPartitioning, config.DAGguise} {
+	for _, scheme := range []config.Scheme{config.Insecure, config.FixedService, config.FSBTA, config.TemporalPartitioning, config.Camouflage, config.DAGguise} {
 		t.Run(scheme.String(), func(t *testing.T) {
 			sys, err := New(config.Default(2, scheme), []CoreSpec{docdistSpec(t, true), specFor(t, "lbm", 5, false)})
 			if err != nil {
