@@ -212,6 +212,9 @@ type Auditor struct {
 	next    int // absolute start offset of the next unprocessed window
 	done    int // windows audited since creation (survives TakeWindows)
 	windows []WindowReport
+	// draws counts the random draws the most recent window evaluation
+	// consumed, abandoned ones included: a deterministic work counter.
+	draws uint64
 }
 
 // New builds an Auditor for the configuration.
@@ -225,41 +228,12 @@ func New(cfg Config) (*Auditor, error) {
 // Push appends one sample observed under the given secret (0 or 1) and
 // processes any windows that became complete.
 func (a *Auditor) Push(secret int, s Sample) error {
-	if secret != 0 && secret != 1 {
-		return fmt.Errorf("audit: secret %d outside the binary channel", secret)
-	}
-	a.streams[secret] = append(a.streams[secret], s)
-	a.drain()
-	return nil
+	return a.PushCtx(context.Background(), secret, s)
 }
 
 // PushTap feeds every sample of the tap under the given secret.
 func (a *Auditor) PushTap(secret int, t *Tap) error {
-	for _, s := range t.Samples() {
-		if err := a.Push(secret, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drain audits every window both streams have fully covered.
-func (a *Auditor) drain() {
-	w := a.cfg.Window
-	for a.base+len(a.streams[0]) >= a.next+w && a.base+len(a.streams[1]) >= a.next+w {
-		a.audit(a.next)
-		a.next += a.cfg.stride()
-	}
-}
-
-// audit evaluates the full window starting at absolute offset start.
-func (a *Auditor) audit(start int) {
-	w := a.cfg.Window
-	rel := start - a.base
-	win0 := a.streams[0][rel : rel+w]
-	win1 := a.streams[1][rel : rel+w]
-	rep, _ := a.evalWindow(context.Background(), start, win0, win1)
-	a.windows = append(a.windows, rep)
+	return a.PushTapCtx(context.Background(), secret, t)
 }
 
 // evalWindow computes one window report over the two (possibly
@@ -279,32 +253,34 @@ func (a *Auditor) evalWindow(ctx context.Context, start int, win0, win1 []Sample
 		v1[i] = win1[i].Value
 	}
 
+	// Code the pooled window once: every statistic below, observed or
+	// resampled, counts codes of this pool.
+	pool := stats.Pool(v0, v1, a.cfg.BinWidth)
+	ident := pool.Identity()
 	idx := a.done
 	rep := WindowReport{
 		Index:      idx,
 		Start:      start,
 		StartCycle: minCycle(win0, win1),
 		EndCycle:   maxCycle(win0, win1),
-		T:          stats.WelchT(v0, v1),
-		KS:         stats.KSDistance(v0, v1),
+		T:          pool.WelchT(ident),
+		KS:         pool.KS(ident),
+		MI:         pool.MI(ident),
 	}
-	mi := func(x, y []uint64) float64 { return stats.BinaryMI(x, y, a.cfg.BinWidth) }
-	rep.MI = mi(v0, v1)
 
 	rnd := rng.New(a.cfg.Seed*1_000_003 + int64(idx))
+	defer func() { a.draws = rnd.State().Draws }()
 	var err error
-	rep.TThreshold, err = PermutationThresholdCtx(ctx, v0, v1, stats.WelchT, a.cfg.Permutations, a.cfg.Alpha, rnd)
-	if err != nil {
+	if rep.TThreshold, err = PermutationThresholdCtx(ctx, pool, (*stats.Pooled).WelchT, a.cfg.Permutations, a.cfg.Alpha, rnd); err != nil {
 		return rep, err
 	}
-	ks := func(x, y []uint64) float64 { return stats.KSDistance(x, y) }
-	if rep.KSThreshold, err = PermutationThresholdCtx(ctx, v0, v1, ks, a.cfg.Permutations, a.cfg.Alpha, rnd); err != nil {
+	if rep.KSThreshold, err = PermutationThresholdCtx(ctx, pool, (*stats.Pooled).KS, a.cfg.Permutations, a.cfg.Alpha, rnd); err != nil {
 		return rep, err
 	}
-	if rep.MIThreshold, err = PermutationThresholdCtx(ctx, v0, v1, mi, a.cfg.Permutations, a.cfg.Alpha, rnd); err != nil {
+	if rep.MIThreshold, err = PermutationThresholdCtx(ctx, pool, (*stats.Pooled).MI, a.cfg.Permutations, a.cfg.Alpha, rnd); err != nil {
 		return rep, err
 	}
-	if rep.MILo, rep.MIHi, err = BootstrapCICtx(ctx, v0, v1, mi, a.cfg.Bootstrap, a.cfg.Confidence, rnd); err != nil {
+	if rep.MILo, rep.MIHi, err = BootstrapCICtx(ctx, pool, (*stats.Pooled).MI, a.cfg.Bootstrap, a.cfg.Confidence, rnd); err != nil {
 		return rep, err
 	}
 

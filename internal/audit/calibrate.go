@@ -4,12 +4,15 @@ import (
 	"context"
 
 	"dagguise/internal/rng"
+	"dagguise/internal/stats"
 )
 
-// Stat is a two-sample statistic over secret-conditioned observation
-// windows (larger = more distinguishable). stats.WelchT, stats.KSDistance
-// and a closed-over stats.BinaryMI all fit.
-type Stat func(obs0, obs1 []uint64) float64
+// Stat is a two-sample statistic over an arrangement of a coded pool of
+// secret-conditioned observations (larger = more distinguishable): idx
+// lists pool positions, the first p.Len0() of them forming secret 0's
+// sample. The method expressions (*stats.Pooled).WelchT, .KS and .MI all
+// fit.
+type Stat func(p *stats.Pooled, idx []int32) float64
 
 // PermutationThreshold estimates the (1 - alpha) quantile of stat's null
 // distribution on this window by reassigning the pooled samples to the two
@@ -20,8 +23,8 @@ type Stat func(obs0, obs1 []uint64) float64
 // caller seeds rnd, which makes the threshold deterministic.
 //
 // This form never aborts; PermutationThresholdCtx adds cancellation.
-func PermutationThreshold(obs0, obs1 []uint64, stat Stat, k int, alpha float64, rnd *rng.Rand) float64 {
-	v, _ := PermutationThresholdCtx(context.Background(), obs0, obs1, stat, k, alpha, rnd)
+func PermutationThreshold(p *stats.Pooled, stat Stat, k int, alpha float64, rnd *rng.Rand) float64 {
+	v, _ := PermutationThresholdCtx(context.Background(), p, stat, k, alpha, rnd)
 	return v
 }
 
@@ -43,7 +46,7 @@ func SequencePermutationThreshold(seq0, seq1 [][]uint64, binWidth uint64, k int,
 // The interval quantifies the finite-sample uncertainty the old point
 // estimate hid. The caller seeds rnd, which makes the interval
 // deterministic.
-func BootstrapCI(obs0, obs1 []uint64, stat Stat, b int, confidence float64, rnd *rng.Rand) (lo, hi float64) {
-	lo, hi, _ = BootstrapCICtx(context.Background(), obs0, obs1, stat, b, confidence, rnd)
+func BootstrapCI(p *stats.Pooled, stat Stat, b int, confidence float64, rnd *rng.Rand) (lo, hi float64) {
+	lo, hi, _ = BootstrapCICtx(context.Background(), p, stat, b, confidence, rnd)
 	return lo, hi
 }

@@ -54,88 +54,110 @@ func permQuantileIdx(k int, alpha float64) int {
 	return quantileIdx(k, 1-alpha)
 }
 
+// calibrate is the one calibration loop behind every threshold and
+// interval: it polls ctx, then evaluates one resample with draw, k times,
+// and returns the k values sorted ascending. Each draw rearranges a coded
+// pool (a shuffled or resampled index array) and counts codes, so no
+// resample copies, sorts or hashes the samples.
+func calibrate(ctx context.Context, k int, draw func() float64) ([]float64, error) {
+	vals := make([]float64, k)
+	for i := range vals {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		vals[i] = draw()
+	}
+	sort.Float64s(vals)
+	return vals, nil
+}
+
+// checkPool rejects a pool with fewer than 2 samples in either class.
+func checkPool(p *stats.Pooled, what string) error {
+	if n0, n1 := p.Len0(), p.Len()-p.Len0(); n0 < 2 || n1 < 2 {
+		return fmt.Errorf("%w: %s got %d and %d", ErrInsufficientSamples, what, n0, n1)
+	}
+	return nil
+}
+
 // PermutationThresholdCtx is PermutationThreshold with cancellation: it
 // polls ctx once per permutation and returns a wrapped ErrCanceled the
 // moment it fires. When it completes, the value and the PRNG draws consumed
 // are identical to the context-free form.
-func PermutationThresholdCtx(ctx context.Context, obs0, obs1 []uint64, stat Stat, k int, alpha float64, rnd *rng.Rand) (float64, error) {
-	if k < 1 || (len(obs0) == 0 && len(obs1) == 0) {
+func PermutationThresholdCtx(ctx context.Context, p *stats.Pooled, stat Stat, k int, alpha float64, rnd *rng.Rand) (float64, error) {
+	if k < 1 || p.Len() == 0 {
 		return 0, nil
 	}
-	if len(obs0) < 2 || len(obs1) < 2 {
-		return 0, fmt.Errorf("%w: calibration got %d and %d", ErrInsufficientSamples, len(obs0), len(obs1))
+	if err := checkPool(p, "calibration"); err != nil {
+		return 0, err
 	}
-	pool := make([]uint64, 0, len(obs0)+len(obs1))
-	pool = append(pool, obs0...)
-	pool = append(pool, obs1...)
-	n0 := len(obs0)
-	vals := make([]float64, k)
-	for i := 0; i < k; i++ {
-		if err := ctxErr(ctx); err != nil {
-			return 0, err
-		}
-		rnd.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
-		vals[i] = stat(pool[:n0], pool[n0:])
+	// The shuffles compose: each permutation rearranges the previous one.
+	idx := p.Identity()
+	swap := func(a, b int) { idx[a], idx[b] = idx[b], idx[a] }
+	vals, err := calibrate(ctx, k, func() float64 {
+		rnd.Shuffle(len(idx), swap)
+		return stat(p, idx)
+	})
+	if err != nil {
+		return 0, err
 	}
-	sort.Float64s(vals)
 	return vals[permQuantileIdx(k, alpha)], nil
 }
 
 // SequencePermutationThresholdCtx is SequencePermutationThreshold with
 // cancellation, polled once per permutation round.
 func SequencePermutationThresholdCtx(ctx context.Context, seq0, seq1 [][]uint64, binWidth uint64, k int, alpha float64, rnd *rng.Rand) (float64, error) {
-	n := len(seq0)
-	if len(seq1) < n {
-		n = len(seq1)
-	}
+	n := min(len(seq0), len(seq1))
 	if n == 0 || k < 1 {
 		return 0, nil
 	}
-	vals := make([]float64, k)
-	var pool []uint64
-	for i := 0; i < k; i++ {
-		if err := ctxErr(ctx); err != nil {
-			return 0, err
-		}
-		total := 0.0
-		for p := 0; p < n; p++ {
-			pool = pool[:0]
-			pool = append(pool, seq0[p]...)
-			pool = append(pool, seq1[p]...)
-			rnd.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
-			total += stats.BinaryMI(pool[:len(seq0[p])], pool[len(seq0[p]):], binWidth)
-		}
-		vals[i] = total / float64(n)
+	pools := make([]*stats.Pooled, n)
+	idxs := make([][]int32, n)
+	for p := range pools {
+		pools[p] = stats.Pool(seq0[p], seq1[p], binWidth)
+		idxs[p] = make([]int32, pools[p].Len())
 	}
-	sort.Float64s(vals)
+	vals, err := calibrate(ctx, k, func() float64 {
+		total := 0.0
+		for p, pool := range pools {
+			// Every round shuffles each position's pool afresh.
+			idx := idxs[p]
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			rnd.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
+			total += pool.MI(idx)
+		}
+		return total / float64(n)
+	})
+	if err != nil {
+		return 0, err
+	}
 	return vals[permQuantileIdx(k, alpha)], nil
 }
 
 // BootstrapCICtx is BootstrapCI with cancellation, polled once per
 // resample.
-func BootstrapCICtx(ctx context.Context, obs0, obs1 []uint64, stat Stat, b int, confidence float64, rnd *rng.Rand) (lo, hi float64, err error) {
-	if b < 1 || (len(obs0) == 0 && len(obs1) == 0) {
+func BootstrapCICtx(ctx context.Context, p *stats.Pooled, stat Stat, b int, confidence float64, rnd *rng.Rand) (lo, hi float64, err error) {
+	if b < 1 || p.Len() == 0 {
 		return 0, 0, nil
 	}
-	if len(obs0) < 2 || len(obs1) < 2 {
-		return 0, 0, fmt.Errorf("%w: bootstrap got %d and %d", ErrInsufficientSamples, len(obs0), len(obs1))
+	if err := checkPool(p, "bootstrap"); err != nil {
+		return 0, 0, err
 	}
-	r0 := make([]uint64, len(obs0))
-	r1 := make([]uint64, len(obs1))
-	vals := make([]float64, b)
-	for i := 0; i < b; i++ {
-		if err := ctxErr(ctx); err != nil {
-			return 0, 0, err
+	n0, n1 := p.Len0(), p.Len()-p.Len0()
+	idx := make([]int32, p.Len())
+	vals, err := calibrate(ctx, b, func() float64 {
+		for j := range idx[:n0] {
+			idx[j] = int32(rnd.Intn(n0))
 		}
-		for j := range r0 {
-			r0[j] = obs0[rnd.Intn(len(obs0))]
+		for j := n0; j < len(idx); j++ {
+			idx[j] = int32(n0 + rnd.Intn(n1))
 		}
-		for j := range r1 {
-			r1[j] = obs1[rnd.Intn(len(obs1))]
-		}
-		vals[i] = stat(r0, r1)
+		return stat(p, idx)
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	sort.Float64s(vals)
 	tail := (1 - confidence) / 2
 	return vals[quantileIdx(b, tail)], vals[quantileIdx(b, 1-tail)], nil
 }

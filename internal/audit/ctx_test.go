@@ -20,9 +20,10 @@ func synthStreams(seed int64, n int) (a, b []uint64) {
 
 func TestCtxVariantsMatchPlainForms(t *testing.T) {
 	a, b := synthStreams(7, 200)
+	welch := Stat((*stats.Pooled).WelchT)
 
-	plain := PermutationThreshold(a, b, stats.WelchT, 100, 0.05, rng.New(11))
-	got, err := PermutationThresholdCtx(context.Background(), a, b, stats.WelchT, 100, 0.05, rng.New(11))
+	plain := PermutationThreshold(pool8(a, b), welch, 100, 0.05, rng.New(11))
+	got, err := PermutationThresholdCtx(context.Background(), pool8(a, b), welch, 100, 0.05, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +31,8 @@ func TestCtxVariantsMatchPlainForms(t *testing.T) {
 		t.Fatalf("PermutationThresholdCtx %v != PermutationThreshold %v", got, plain)
 	}
 
-	lo, hi := BootstrapCI(a, b, stats.WelchT, 100, 0.95, rng.New(13))
-	glo, ghi, err := BootstrapCICtx(context.Background(), a, b, stats.WelchT, 100, 0.95, rng.New(13))
+	lo, hi := BootstrapCI(pool8(a, b), welch, 100, 0.95, rng.New(13))
+	glo, ghi, err := BootstrapCICtx(context.Background(), pool8(a, b), welch, 100, 0.95, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +57,10 @@ func TestCtxVariantsReturnTypedErrCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := PermutationThresholdCtx(ctx, a, b, stats.WelchT, 100, 0.05, rng.New(1)); !errors.Is(err, ErrCanceled) {
+	if _, err := PermutationThresholdCtx(ctx, pool8(a, b), (*stats.Pooled).WelchT, 100, 0.05, rng.New(1)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("PermutationThresholdCtx: got %v, want ErrCanceled", err)
 	}
-	if _, _, err := BootstrapCICtx(ctx, a, b, stats.WelchT, 100, 0.95, rng.New(1)); !errors.Is(err, ErrCanceled) {
+	if _, _, err := BootstrapCICtx(ctx, pool8(a, b), (*stats.Pooled).WelchT, 100, 0.95, rng.New(1)); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("BootstrapCICtx: got %v, want ErrCanceled", err)
 	}
 	seq0 := [][]uint64{a[:50]}

@@ -160,10 +160,10 @@ func TestFlushStarvedStream(t *testing.T) {
 	}
 	// The calibration primitives themselves carry the same typed error.
 	ctx := context.Background()
-	if _, err := PermutationThresholdCtx(ctx, []uint64{1, 2, 3}, []uint64{4}, mi8, 10, 0.05, crng.New(99)); !errors.Is(err, ErrInsufficientSamples) {
+	if _, err := PermutationThresholdCtx(ctx, pool8([]uint64{1, 2, 3}, []uint64{4}), mi8, 10, 0.05, crng.New(99)); !errors.Is(err, ErrInsufficientSamples) {
 		t.Fatalf("PermutationThresholdCtx returned %v, want ErrInsufficientSamples", err)
 	}
-	if _, _, err := BootstrapCICtx(ctx, []uint64{1}, []uint64{2, 3}, mi8, 10, 0.95, crng.New(99)); !errors.Is(err, ErrInsufficientSamples) {
+	if _, _, err := BootstrapCICtx(ctx, pool8([]uint64{1}, []uint64{2, 3}), mi8, 10, 0.95, crng.New(99)); !errors.Is(err, ErrInsufficientSamples) {
 		t.Fatalf("BootstrapCICtx returned %v, want ErrInsufficientSamples", err)
 	}
 }

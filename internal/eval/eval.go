@@ -564,7 +564,6 @@ func Table1(probes, trials int) ([]Table1Row, error) {
 // non-nil, is called on every harness before it runs.
 func Table1Observed(probes, trials int, attach func(*attack.Harness)) ([]Table1Row, error) {
 	s0, s1, probe, dist := figure5Pair()
-	miStat := func(a, b []uint64) float64 { return stats.BinaryMI(a, b, attack.LeakageBinWidth) }
 	var rows []Table1Row
 	for _, scheme := range []config.Scheme{
 		config.Insecure, config.Camouflage, config.FixedService,
@@ -585,11 +584,12 @@ func Table1Observed(probes, trials int, attach func(*attack.Harness)) ([]Table1R
 			Accuracy:    res.Accuracy,
 			Claimed:     scheme.Secure(),
 		}
-		row.AggThreshold = audit.PermutationThreshold(res.Raw0, res.Raw1, miStat,
+		pool := stats.Pool(res.Raw0, res.Raw1, attack.LeakageBinWidth)
+		row.AggThreshold = audit.PermutationThreshold(pool, (*stats.Pooled).MI,
 			table1Permutations, table1Alpha, rnd)
 		row.SeqThreshold = audit.SequencePermutationThreshold(res.Seq0, res.Seq1, attack.LeakageBinWidth,
 			table1Permutations, table1Alpha, rnd)
-		row.AggMILo, row.AggMIHi = audit.BootstrapCI(res.Raw0, res.Raw1, miStat,
+		row.AggMILo, row.AggMIHi = audit.BootstrapCI(pool, (*stats.Pooled).MI,
 			table1Bootstrap, table1Confidence, rnd)
 		row.Secure = row.AggregateMI <= row.AggThreshold && row.SequenceMI <= row.SeqThreshold
 		rows = append(rows, row)

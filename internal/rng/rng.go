@@ -62,12 +62,18 @@ type Rand struct {
 // New returns a generator producing the same stream as
 // rand.New(rand.NewSource(seed)).
 func New(seed int64) *Rand {
+	src := newCountingSource(seed)
+	return &Rand{Rand: rand.New(src), seed: seed, src: src}
+}
+
+// newCountingSource wraps a freshly seeded math/rand source.
+func newCountingSource(seed int64) *countingSource {
 	inner := rand.NewSource(seed)
 	src := &countingSource{inner: inner}
 	if s64, ok := inner.(rand.Source64); ok {
 		src.s64 = s64
 	}
-	return &Rand{Rand: rand.New(src), seed: seed, src: src}
+	return src
 }
 
 // State returns the generator's serializable position.
@@ -75,23 +81,21 @@ func (r *Rand) State() State {
 	return State{Seed: r.seed, Draws: r.src.draws}
 }
 
-// Restore rewinds or fast-forwards the generator to the given state. The
-// state's seed replaces the current one, and the stream is advanced by
-// replaying the recorded draws; the next value drawn after Restore is
-// exactly the value that would have followed State.
+// Restore rewinds or fast-forwards the generator to the given state; the
+// next value drawn after Restore is exactly the value that would have
+// followed State. A generator already on the state's seed at or before its
+// draw count only advances by the difference; any other restore re-seeds
+// and replays the recorded draws from the start of the stream.
 func (r *Rand) Restore(st State) {
-	inner := rand.NewSource(st.Seed)
-	src := &countingSource{inner: inner}
-	if s64, ok := inner.(rand.Source64); ok {
-		src.s64 = s64
+	if st.Seed != r.seed || st.Draws < r.src.draws {
+		r.seed = st.Seed
+		r.src = newCountingSource(st.Seed)
 	}
-	for i := uint64(0); i < st.Draws; i++ {
-		src.Int63()
+	for r.src.draws < st.Draws {
+		r.src.Int63()
 	}
-	src.draws = st.Draws
-	r.seed = st.Seed
-	r.src = src
-	r.Rand = rand.New(src)
+	// A fresh wrapper drops any buffered Read bytes, as FromState would.
+	r.Rand = rand.New(r.src)
 }
 
 // FromState builds a generator positioned at the given state.

@@ -95,6 +95,55 @@ func TestRestoreInPlace(t *testing.T) {
 	}
 }
 
+// TestRestoreMatchesFromState restores live generators forward, backward
+// and onto another seed. Each must continue exactly as FromState and as a
+// standard-library generator advanced by the target draw count, and only
+// a restore that cannot advance the current stream may re-seed.
+func TestRestoreMatchesFromState(t *testing.T) {
+	cases := []struct {
+		name   string
+		seed   int64
+		used   uint64 // draws consumed before the restore
+		target State
+		reseed bool
+	}{
+		{"forward", 11, 50, State{Seed: 11, Draws: 400}, false},
+		{"fresh forward", 11, 0, State{Seed: 11, Draws: 1234}, false},
+		{"same position", 11, 50, State{Seed: 11, Draws: 50}, false},
+		{"backward", 11, 400, State{Seed: 11, Draws: 50}, true},
+		{"backward to zero", 11, 400, State{Seed: 11}, true},
+		{"other seed ahead", 11, 50, State{Seed: 12, Draws: 400}, true},
+		{"other seed behind", 11, 400, State{Seed: 12, Draws: 50}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := New(c.seed)
+			for i := uint64(0); i < c.used; i++ {
+				r.Int63()
+			}
+			src := r.src
+			r.Restore(c.target)
+			if r.State() != c.target {
+				t.Fatalf("restored state %+v, want %+v", r.State(), c.target)
+			}
+			if reseeded := r.src != src; reseeded != c.reseed {
+				t.Fatalf("re-seeded = %v, want %v", reseeded, c.reseed)
+			}
+			want := FromState(c.target)
+			ref := rand.New(rand.NewSource(c.target.Seed))
+			for i := uint64(0); i < c.target.Draws; i++ {
+				ref.Int63()
+			}
+			for i := 0; i < 500; i++ {
+				got, w, std := r.Intn(1<<20), want.Intn(1<<20), ref.Intn(1<<20)
+				if got != w || got != std {
+					t.Fatalf("draw %d after restore: %d, FromState %d, stdlib %d", i, got, w, std)
+				}
+			}
+		})
+	}
+}
+
 // TestZeroDrawState covers the fresh-generator round trip.
 func TestZeroDrawState(t *testing.T) {
 	st := New(5).State()

@@ -1,13 +1,14 @@
 // Package stats provides the measurement utilities used across the
-// evaluation: aggregate means, histograms of observed latencies, and the
-// mutual-information estimator that quantifies side-channel leakage for
-// the Table 1 security comparison.
+// evaluation: aggregate means, the two-sample leakage detectors (Welch's t
+// and the Kolmogorov–Smirnov distance), and the mutual-information
+// estimator that quantifies side-channel leakage for the Table 1 security
+// comparison.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NonPositiveError reports a Geomean input outside its domain: the
@@ -52,55 +53,6 @@ func Mean(vals []float64) float64 {
 	return sum / float64(len(vals))
 }
 
-// Histogram counts occurrences of binned values.
-type Histogram struct {
-	BinWidth uint64
-	Counts   map[uint64]uint64
-	Total    uint64
-}
-
-// ZeroBinWidthError reports a histogram constructed with bin width 0,
-// which would divide by zero on the first Add.
-type ZeroBinWidthError struct{}
-
-// Error implements error.
-func (e *ZeroBinWidthError) Error() string {
-	return "stats: histogram bin width must be positive"
-}
-
-// NewHistogram builds a histogram with the given bin width. A zero bin
-// width is rejected with *ZeroBinWidthError rather than silently clamped.
-func NewHistogram(binWidth uint64) (*Histogram, error) {
-	if binWidth == 0 {
-		return nil, &ZeroBinWidthError{}
-	}
-	return &Histogram{BinWidth: binWidth, Counts: make(map[uint64]uint64)}, nil
-}
-
-// Add records a value.
-func (h *Histogram) Add(v uint64) {
-	h.Counts[v/h.BinWidth]++
-	h.Total++
-}
-
-// P returns the empirical probability of the bin containing v.
-func (h *Histogram) P(v uint64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[v/h.BinWidth]) / float64(h.Total)
-}
-
-// Bins returns the populated bin indices in ascending order.
-func (h *Histogram) Bins() []uint64 {
-	out := make([]uint64, 0, len(h.Counts))
-	for b := range h.Counts {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // BinaryMI estimates the mutual information, in bits, between a uniform
 // binary secret and an observation, from samples of the observation under
 // each secret value. This is the leakage metric of the security
@@ -115,43 +67,31 @@ func (h *Histogram) Bins() []uint64 {
 // (cells - bins - 1)/(2N ln 2) where cells counts the populated
 // (secret, bin) pairs. The result is clamped to [0, 1] (the entropy of a
 // binary secret bounds it from above; the correction can overshoot on
-// either side for tiny N).
+// either side for tiny N). A bin width of 0 makes every distinct value its
+// own bin.
 func BinaryMI(obs0, obs1 []uint64, binWidth uint64) float64 {
-	if len(obs0) == 0 || len(obs1) == 0 {
+	p := Pool(obs0, obs1, binWidth)
+	return p.MI(p.Identity())
+}
+
+// miCounts is BinaryMI over per-bin counts c0 and c1 of samples of sizes
+// n0 and n1, indexed by bin rank. Bins are summed in ascending order so
+// the floating-point summation order, and with it the estimate's last ulp,
+// is deterministic (the audit layer golden-tests reports built from these
+// values); bins neither sample occupies are skipped.
+func miCounts(c0, c1 []int32, n0, n1 int) float64 {
+	if n0 == 0 || n1 == 0 {
 		return 0
 	}
-	if binWidth == 0 {
-		// MI over unbinned observations: each distinct value is its own bin.
-		binWidth = 1
-	}
-	h0, _ := NewHistogram(binWidth)
-	h1, _ := NewHistogram(binWidth)
-	for _, v := range obs0 {
-		h0.Add(v)
-	}
-	for _, v := range obs1 {
-		h1.Add(v)
-	}
-	// Iterate bins in sorted order so the floating-point summation order —
-	// and therefore the estimate's last ulp — is deterministic across runs
-	// (the audit layer golden-tests reports built from these values).
-	binSet := map[uint64]bool{}
-	for b := range h0.Counts {
-		binSet[b] = true
-	}
-	for b := range h1.Counts {
-		binSet[b] = true
-	}
-	bins := make([]uint64, 0, len(binSet))
-	for b := range binSet {
-		bins = append(bins, b)
-	}
-	sort.Slice(bins, func(i, j int) bool { return bins[i] < bins[j] })
 	mi := 0.0
-	cells := 0
-	for _, b := range bins {
-		p0 := float64(h0.Counts[b]) / float64(h0.Total)
-		p1 := float64(h1.Counts[b]) / float64(h1.Total)
+	cells, bins := 0, 0
+	for b := range c0 {
+		if c0[b] == 0 && c1[b] == 0 {
+			continue
+		}
+		bins++
+		p0 := float64(c0[b]) / float64(n0)
+		p1 := float64(c1[b]) / float64(n1)
 		pb := (p0 + p1) / 2
 		if p0 > 0 {
 			mi += 0.5 * p0 * math.Log2(p0/pb)
@@ -162,8 +102,8 @@ func BinaryMI(obs0, obs1 []uint64, binWidth uint64) float64 {
 			cells++
 		}
 	}
-	n := float64(h0.Total + h1.Total)
-	mi -= float64(cells-len(bins)-1) / (2 * n * math.Ln2)
+	n := float64(n0 + n1)
+	mi -= float64(cells-bins-1) / (2 * n * math.Ln2)
 	if mi < 0 {
 		mi = 0
 	}
@@ -216,32 +156,141 @@ func WelchT(a, b []uint64) float64 {
 // is distribution-free — sensitive to any difference in shape, not just the
 // mean shift WelchT detects — and returns 0 when either sample is empty.
 func KSDistance(a, b []uint64) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	p := Pool(a, b, 0)
+	return p.KS(p.Identity())
+}
+
+// ksCounts is KSDistance over per-rank counts c0 and c1 of samples of
+// sizes n0 and n1, indexed by value rank: both empirical CDFs step at each
+// rank in ascending order, and the walk stops once either sample is
+// exhausted, as the two-pointer walk over sorted samples does. A rank
+// neither sample holds repeats the previous distance and cannot raise the
+// supremum.
+func ksCounts(c0, c1 []int32, n0, n1 int) float64 {
+	if n0 == 0 || n1 == 0 {
 		return 0
 	}
-	sa := append([]uint64(nil), a...)
-	sb := append([]uint64(nil), b...)
-	sort.Slice(sa, func(i, j int) bool { return sa[i] < sa[j] })
-	sort.Slice(sb, func(i, j int) bool { return sb[i] < sb[j] })
-	na, nb := float64(len(sa)), float64(len(sb))
+	na, nb := float64(n0), float64(n1)
 	var i, j int
 	var d float64
-	for i < len(sa) && j < len(sb) {
-		v := sa[i]
-		if sb[j] < v {
-			v = sb[j]
-		}
-		for i < len(sa) && sa[i] == v {
-			i++
-		}
-		for j < len(sb) && sb[j] == v {
-			j++
-		}
+	for r := 0; i < n0 && j < n1; r++ {
+		i += int(c0[r])
+		j += int(c1[r])
 		if diff := math.Abs(float64(i)/na - float64(j)/nb); diff > d {
 			d = diff
 		}
 	}
 	return d
+}
+
+// Pooled is two samples pooled, sample 0 first, and rank-coded once, so a
+// statistic over any rearrangement of the pool (a label permutation or a
+// bootstrap resample) is a count over dense codes instead of a sort or a
+// map. KS depends only on the order of the values, so each value is coded
+// by its rank among the pool's distinct values; MI depends only on which
+// bin each value falls in, so each is also coded by its bin's rank among
+// the pool's occupied bins. Codes ascend with the values and bins they
+// stand for, so a walk over them visits values and bins in sorted order
+// and every statistic keeps its floating-point summation order.
+//
+// The statistic methods read an arrangement idx of pool positions:
+// idx[:Len0()] forms sample 0 and the rest sample 1. A Pooled keeps
+// scratch buffers between calls and is not safe for concurrent use.
+type Pooled struct {
+	vals        []uint64 // pooled values, sample 0 first
+	rank, bin   []int32  // per position: value rank and bin rank
+	ranks, bins int      // distinct values and occupied bins
+	n0          int
+	c0, c1      []int32  // per-code counts of the arrangement being read
+	gathered    []uint64 // the arrangement's values, for WelchT
+}
+
+// Pool pools and codes obs0 and obs1 for MI bins of width binWidth (0 =
+// every distinct value is its own bin).
+func Pool(obs0, obs1 []uint64, binWidth uint64) *Pooled {
+	if binWidth == 0 {
+		binWidth = 1
+	}
+	n := len(obs0) + len(obs1)
+	p := &Pooled{
+		vals:     make([]uint64, 0, n),
+		rank:     make([]int32, n),
+		bin:      make([]int32, n),
+		n0:       len(obs0),
+		gathered: make([]uint64, n),
+	}
+	p.vals = append(append(p.vals, obs0...), obs1...)
+	distinct := slices.Clone(p.vals)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	// Bins are monotone in the value, so the bin rank of the r-th distinct
+	// value steps up exactly where v / binWidth changes.
+	binOf := make([]int32, len(distinct))
+	for r := 1; r < len(distinct); r++ {
+		binOf[r] = binOf[r-1]
+		if distinct[r]/binWidth != distinct[r-1]/binWidth {
+			binOf[r]++
+		}
+	}
+	for i, v := range p.vals {
+		r, _ := slices.BinarySearch(distinct, v)
+		p.rank[i], p.bin[i] = int32(r), binOf[r]
+	}
+	p.ranks = len(distinct)
+	if p.ranks > 0 {
+		p.bins = int(binOf[p.ranks-1]) + 1
+	}
+	p.c0 = make([]int32, p.ranks)
+	p.c1 = make([]int32, p.ranks)
+	return p
+}
+
+// Len is the pooled sample count; Len0 the size of sample 0.
+func (p *Pooled) Len() int  { return len(p.vals) }
+func (p *Pooled) Len0() int { return p.n0 }
+
+// Identity returns a fresh arrangement of the observed split.
+func (p *Pooled) Identity() []int32 {
+	idx := make([]int32, len(p.vals))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// WelchT is WelchT over the arrangement, reading values in idx order.
+func (p *Pooled) WelchT(idx []int32) float64 {
+	for j, i := range idx {
+		p.gathered[j] = p.vals[i]
+	}
+	return WelchT(p.gathered[:p.n0], p.gathered[p.n0:])
+}
+
+// KS is KSDistance over the arrangement.
+func (p *Pooled) KS(idx []int32) float64 {
+	c0, c1 := p.count(p.rank, p.ranks, idx)
+	return ksCounts(c0, c1, p.n0, len(idx)-p.n0)
+}
+
+// MI is BinaryMI over the arrangement.
+func (p *Pooled) MI(idx []int32) float64 {
+	c0, c1 := p.count(p.bin, p.bins, idx)
+	return miCounts(c0, c1, p.n0, len(idx)-p.n0)
+}
+
+// count tallies the codes of each sample of the arrangement into the
+// first n entries of the count buffers.
+func (p *Pooled) count(codes []int32, n int, idx []int32) (c0, c1 []int32) {
+	c0, c1 = p.c0[:n], p.c1[:n]
+	clear(c0)
+	clear(c1)
+	for _, i := range idx[:p.n0] {
+		c0[codes[i]]++
+	}
+	for _, i := range idx[p.n0:] {
+		c1[codes[i]]++
+	}
+	return c0, c1
 }
 
 // SequenceMI estimates per-position mutual information between the secret
